@@ -86,7 +86,7 @@ func run(args []string) error {
 	auditDir := fs.String("audit-dir", "", "directory for the append-only audit trail (violations and Unverified outcomes)")
 	auditMaxBytes := fs.Int64("audit-max-bytes", 0, "rotate audit segments at this size (0 = 8 MiB default)")
 	parallelSnapshots := fs.Bool("parallel-snapshots", false,
-		"resolve state snapshots concurrently (recommended when the cloud is across a network)")
+		"eager engine only: resolve each state snapshot's paths concurrently (the compiled and lazy engines overlap a clause's reads themselves)")
 	secReqs := fs.String("secreqs", "", "comma-separated SecReq tags to slice the model to (e.g. 1.3,1.4)")
 	methods := fs.String("methods", "", "comma-separated HTTP methods to slice the model to (e.g. DELETE,PUT)")
 	svcUser := fs.String("svc-user", "cm-svc", "monitor service-account user")

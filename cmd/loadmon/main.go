@@ -70,7 +70,7 @@ func run(args []string, out io.Writer) error {
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
 	backpressureName := fs.String("post-backpressure", "block", "saturated async queue policy: block | shed")
 	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning in the lazy engine (A/B baseline)")
-	parallel := fs.Bool("parallel-snapshots", false, "resolve state snapshots concurrently")
+	parallel := fs.Bool("parallel-snapshots", false, "eager engine only: resolve each state snapshot's paths concurrently (the compiled and lazy engines overlap a clause's reads themselves)")
 	workers := fs.Int("snapshot-workers", 0, "bound the parallel snapshot pool (0 = default)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "pre-state read-cache TTL (0 = disabled)")
 	faultsPath := fs.String("faults", "", "fault-injection profile (JSON) for the in-process cloud")

@@ -78,8 +78,10 @@ type Options struct {
 	// OnVerdict, if set, receives every verdict (e.g. an
 	// monitor.AuditWriter's Record method).
 	OnVerdict func(monitor.Verdict)
-	// ParallelSnapshots resolves state paths concurrently — enable when
-	// the cloud is across a network (see osbinding.Provider.Parallel).
+	// ParallelSnapshots resolves the paths of one snapshot call
+	// concurrently. It applies to the eager engine only: the demand
+	// engines overlap a clause's reads themselves (see
+	// osbinding.Provider.Parallel).
 	ParallelSnapshots bool
 	// SnapshotWorkers bounds the per-snapshot worker pool when
 	// ParallelSnapshots is set (0 = osbinding.DefaultMaxParallel).

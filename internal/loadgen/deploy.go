@@ -42,7 +42,8 @@ type DeployOptions struct {
 	PostQueueCap     int
 	PostWorkers      int
 	PostBackpressure monitor.BackpressurePolicy
-	// ParallelSnapshots enables the provider's bounded fan-out.
+	// ParallelSnapshots enables the provider's bounded fan-out (eager
+	// engine only; see core.Options.ParallelSnapshots).
 	ParallelSnapshots bool
 	// SnapshotWorkers bounds the fan-out pool (0 = default).
 	SnapshotWorkers int

@@ -220,6 +220,7 @@ func (m *Monitor) shedVerdict(pc *postCapture) {
 	v.Returned = pc.returned
 	v.Elapsed = time.Since(pc.start)
 	v.FetchedPaths = pc.f.fetched
+	v.FetchRounds = pc.f.rounds
 	pc.trace[obs.StagePreSnapshot] = pc.f.preDur
 	pc.trace[obs.StagePreEval] = pc.preEvalDur
 	v.Trace = pc.trace

@@ -354,7 +354,9 @@ func TestDifferentialPostReuseOnFrameRespectingStates(t *testing.T) {
 // TestLazyFetchEconomyOnPaperModel pins the headline numbers the plan
 // engines claim for the paper's Cinder model: a clean GET needs 5 cloud
 // reads under the plan engines against the eager engine's 8, and a clean
-// DELETE 6 against 10. Both demand-driven engines — lazy tree walk and
+// DELETE 6 against 10. The reads before the forward go out in one wave,
+// so each check waits on 2 provider rounds: the pre-state wave and the
+// one post-state read. Both demand-driven engines — lazy tree walk and
 // compiled closure chains — must hit the same pins.
 func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
@@ -367,14 +369,18 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 		status              int
 		wantPlan, wantEager int
 		wantReused          int
+		// wantPreRounds are the provider rounds before the forward;
+		// each plan check adds one round per post-state read, 1 here.
+		wantPreRounds int
 	}{
-		// GET: 4 pre paths + post re-fetch of project.volumes; the other
-		// 2 consequent reads reuse the pre-state (project.id, quota).
+		// GET: 4 pre paths in one wave + post re-fetch of
+		// project.volumes; the other 2 consequent reads reuse the
+		// pre-state (project.id, quota).
 		{http.MethodGet, "/projects/p1/volumes/v1",
-			env(2, 10, "available", "admin"), env(2, 10, "available", "admin"), 200, 5, 8, 2},
-		// DELETE: 5 pre paths + 1 framed post path.
+			env(2, 10, "available", "admin"), env(2, 10, "available", "admin"), 200, 5, 8, 2, 1},
+		// DELETE: 5 pre paths in one wave + 1 framed post path.
 		{http.MethodDelete, "/projects/p1/volumes/v1",
-			env(2, 10, "available", "admin"), env(1, 10, "available", "admin"), 204, 6, 10, 2},
+			env(2, 10, "available", "admin"), env(1, 10, "available", "admin"), 204, 6, 10, 2, 1},
 	}
 	for _, tc := range cases {
 		ve, _ := runEngine(t, set, EvalEager, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, tc.status)
@@ -383,6 +389,9 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 		}
 		if ve.FetchedPaths != tc.wantEager {
 			t.Errorf("%s: eager fetched %d paths, want %d", tc.method, ve.FetchedPaths, tc.wantEager)
+		}
+		if ve.FetchRounds != 2 {
+			t.Errorf("%s: eager waited on %d provider rounds, want 2 (one per snapshot)", tc.method, ve.FetchRounds)
 		}
 		for _, eval := range []EvalMode{EvalLazy, EvalCompiled} {
 			vp, _ := runEngine(t, set, eval, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, tc.status)
@@ -394,6 +403,10 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 			}
 			if vp.ReusedPaths != tc.wantReused {
 				t.Errorf("%s/%s: reused %d paths, want %d", tc.method, eval, vp.ReusedPaths, tc.wantReused)
+			}
+			if want := tc.wantPreRounds + 1; vp.FetchRounds != want {
+				t.Errorf("%s/%s: waited on %d provider rounds, want %d pre-phase + 1 post read",
+					tc.method, eval, vp.FetchRounds, tc.wantPreRounds)
 			}
 		}
 	}

@@ -4,20 +4,22 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cloudmon/internal/ocl"
 )
 
 // slowSecondSnapshot fails only on the post-state snapshot, isolating the
-// error path after forwarding.
+// error path after forwarding. calls is atomic: a wave reads several
+// pre-state paths at once.
 type slowSecondSnapshot struct {
 	pre   ocl.MapEnv
-	calls int
+	calls atomic.Int64
 }
 
 func (f *slowSecondSnapshot) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
-	f.calls++
+	f.calls.Add(1)
 	if ctx.Phase == PhasePost {
 		return nil, errFake
 	}

@@ -35,13 +35,14 @@ func (p *switchProvider) Snapshot(_ *RequestContext, paths []string) (ocl.MapEnv
 }
 
 // prePostProvider serves the pre-state and errors on post-state reads.
+// calls is atomic: a wave reads several pre-state paths at once.
 type prePostProvider struct {
 	pre   ocl.MapEnv
-	calls int
+	calls atomic.Int64
 }
 
 func (p *prePostProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
-	p.calls++
+	p.calls.Add(1)
 	if ctx.Phase == PhasePost {
 		return nil, errFake
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -207,55 +208,57 @@ func (g *flightGroup) do(key string, fn func() (ocl.Value, bool, error), coalesc
 }
 
 // lazyFetcher performs the per-path cloud reads of one lazy check,
-// accounting fetch counts and time per phase.
+// accounting fetch counts, provider rounds and time per phase.
 type lazyFetcher struct {
 	m       *Monitor
 	reqCtx  *RequestContext
 	project string
 	pk      string
 
+	// wave is the path list the next pre-state wave draws from: the
+	// clause under evaluation (PreClause.Paths) or the top-up's paths.
+	wave []string
+	// parked holds wave members whose read failed and that evaluation has
+	// not asked for yet; fetchPre hands each error out once.
+	parked []waveRead
+	// wg joins a wave's helper goroutines.
+	wg sync.WaitGroup
+
 	degraded bool
 	fetched  int
+	rounds   int
 	preDur   time.Duration
 	postDur  time.Duration
 }
 
-// fetchPre resolves one pre-state path: read cache first, then a coalesced
-// provider fetch, then — under the Degrade policy — a stale cache entry
-// within the degrade window. The flight leader captures the project
-// generation before fetching and is the only writer to the cache, so a
-// waiter can never store a value observed before a write that invalidated
-// it.
+// waveRead is one member of a pre-state wave. Each member is written by
+// exactly one goroutine and read by the request goroutine after the join.
+type waveRead struct {
+	path    string
+	val     ocl.Value
+	present bool
+	err     error
+	// missed: the read went past the cache (led or joined a flight);
+	// issued: it led the flight, i.e. called the provider itself.
+	missed, issued bool
+}
+
+// fetchPre resolves a pre-state path evaluation asked for. A path whose
+// wave read failed earlier returns that failure now, once; any other path
+// starts a wave over f.wave. A failure then gets — under the Degrade
+// policy — a stale cache entry within the degrade window.
 func (f *lazyFetcher) fetchPre(env *lazyEnv, path string) error {
-	m := f.m
-	if m.cache != nil {
-		if v, present, ok := m.cache.get(path, f.reqCtx.Token, f.pk, f.project); ok {
-			env.set(path, v, present)
-			return nil
-		}
+	var err error
+	if i := f.parkedAt(path); i >= 0 {
+		err = f.parked[i].err
+		f.parked = slices.Delete(f.parked, i, i+1)
+	} else {
+		err = f.runWave(env, path)
 	}
-	t0 := time.Now()
-	val, present, err := m.flights.do(cacheKey(path, f.reqCtx.Token, f.pk), func() (ocl.Value, bool, error) {
-		var gen uint64
-		if m.cache != nil {
-			gen = m.cache.projectGen(f.project)
-		}
-		f.fetched++
-		snap, ferr := m.provider.Snapshot(f.reqCtx, []string{path})
-		if ferr != nil {
-			return ocl.Value{}, false, ferr
-		}
-		v, ok := snap[path]
-		if m.cache != nil {
-			m.cache.put(path, f.reqCtx.Token, f.pk, f.project, v, ok, gen)
-		}
-		return v, ok, nil
-	}, &m.coalesced)
-	f.preDur += time.Since(t0)
 	if err == nil {
-		env.set(path, val, present)
 		return nil
 	}
+	m := f.m
 	if m.failPolicy == Degrade && m.cache != nil {
 		if v, present, ok := m.cache.getStale(path, f.reqCtx.Token, f.pk, f.project, m.degradeTTL); ok {
 			env.set(path, v, present)
@@ -266,6 +269,96 @@ func (f *lazyFetcher) fetchPre(env *lazyEnv, path string) error {
 	return err
 }
 
+// runWave reads path together with every path of f.wave that is neither
+// fetched nor parked: one provider round instead of one per path. The
+// demanded path's read runs on the request goroutine, the others on
+// short-lived goroutines. Results reach env (and through it the slot
+// frame) only after the join, on the request goroutine, so neither needs
+// a lock. The demanded path's error is returned; other failed members are
+// parked until evaluation asks for them, so a failure on a path the
+// verdict never needs cannot change it.
+func (f *lazyFetcher) runWave(env *lazyEnv, path string) error {
+	reads := make([]waveRead, 1, 1+len(f.wave))
+	reads[0].path = path
+	for _, p := range f.wave {
+		if p != path && !env.fetched(p) && f.parkedAt(p) < 0 {
+			reads = append(reads, waveRead{path: p})
+		}
+	}
+	t0 := time.Now()
+	f.wg.Add(len(reads) - 1)
+	for i := 1; i < len(reads); i++ {
+		go f.readAsync(&reads[i])
+	}
+	f.read(&reads[0])
+	f.wg.Wait()
+	f.preDur += time.Since(t0)
+	missed := false
+	for i := range reads {
+		r := &reads[i]
+		missed = missed || r.missed
+		if r.issued {
+			f.fetched++
+		}
+		switch {
+		case r.err == nil:
+			env.set(r.path, r.val, r.present)
+		case i > 0:
+			f.parked = append(f.parked, *r)
+		}
+	}
+	if missed {
+		f.rounds++
+	}
+	return reads[0].err
+}
+
+func (f *lazyFetcher) readAsync(r *waveRead) {
+	defer f.wg.Done()
+	f.read(r)
+}
+
+// read is one wave member: cache first, then a coalesced provider fetch.
+// The flight leader captures the project generation before fetching and
+// is the only writer to the cache, so a waiter can never store a value
+// observed before a write that invalidated it.
+func (f *lazyFetcher) read(r *waveRead) {
+	m := f.m
+	if m.cache != nil {
+		var hit bool
+		if r.val, r.present, hit = m.cache.get(r.path, f.reqCtx.Token, f.pk, f.project); hit {
+			return
+		}
+	}
+	r.missed = true
+	r.val, r.present, r.err = m.flights.do(cacheKey(r.path, f.reqCtx.Token, f.pk), func() (ocl.Value, bool, error) {
+		var gen uint64
+		if m.cache != nil {
+			gen = m.cache.projectGen(f.project)
+		}
+		r.issued = true
+		snap, err := m.provider.Snapshot(f.reqCtx, []string{r.path})
+		if err != nil {
+			return ocl.Value{}, false, err
+		}
+		v, ok := snap[r.path]
+		if m.cache != nil {
+			m.cache.put(r.path, f.reqCtx.Token, f.pk, f.project, v, ok, gen)
+		}
+		return v, ok, nil
+	}, &m.coalesced)
+}
+
+// parkedAt returns the index of path's unread wave failure, or -1.
+func (f *lazyFetcher) parkedAt(path string) int {
+	for i := range f.parked {
+		if f.parked[i].path == path {
+			return i
+		}
+	}
+	return -1
+}
+
 // fetchPost resolves one post-state path straight from the cloud — no
 // cache, no coalescing: the post-condition verifies this request's own
 // effect, so joining a read that started before the forward would compare
@@ -273,6 +366,7 @@ func (f *lazyFetcher) fetchPre(env *lazyEnv, path string) error {
 func (f *lazyFetcher) fetchPost(env *lazyEnv, path string) error {
 	t0 := time.Now()
 	f.fetched++
+	f.rounds++
 	snap, err := f.m.provider.Snapshot(f.reqCtx, []string{path})
 	f.postDur += time.Since(t0)
 	if err != nil {
@@ -428,6 +522,7 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 		v.Detail = detail
 		v.Elapsed = time.Since(start)
 		v.FetchedPaths = f.fetched
+		v.FetchRounds = f.rounds
 		switch outcome {
 		case Blocked, Rejected, ViolationForbiddenAccepted, ViolationAllowedRejected:
 			v.FailingClause = c.Pre.String()
@@ -510,6 +605,9 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 	}
 	for _, cl := range plan.Pre {
 		i := cl.Index
+		// The clause's first unfetched demand — witness, full evaluation
+		// or debug re-check — reads all its paths in one wave.
+		f.wave = cl.Paths
 		if useFacts {
 			if s := facts.Pre[i].Static; s != nil {
 				anteVals[i] = *s
@@ -587,24 +685,32 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 
 	// Pre-state top-up: pre-context paths of active consequents are
 	// unobservable once the request is forwarded, so capture any the
-	// disjunct evaluation did not already touch. An implication whose
-	// antecedent is definitely false is skipped entirely — its consequent
-	// is never evaluated, so its old values are never read.
+	// disjunct evaluation did not already touch, all in one wave. An
+	// implication whose antecedent is definitely false is skipped
+	// entirely — its consequent is never evaluated, so its old values are
+	// never read.
 	if preOK && m.level == CheckFull {
 		topStart := time.Now()
 		preFetchBefore := f.preDur
+		var top []string
 		for _, pc := range plan.Post {
 			if isBool, b := boolValue(anteVals[pc.Index]); isBool && !b {
 				continue
 			}
 			for _, p := range pc.PrePaths {
-				if pre.fetched(p) {
-					continue
+				if !pre.fetched(p) && !slices.Contains(top, p) {
+					top = append(top, p)
 				}
-				if err := f.fetchPre(pre, p); err != nil {
-					preEvalDur += time.Since(topStart) - (f.preDur - preFetchBefore)
-					return snapshotFailed(err)
-				}
+			}
+		}
+		f.wave = top
+		for _, p := range top {
+			if pre.fetched(p) {
+				continue // read by the wave an earlier path started
+			}
+			if err := f.fetchPre(pre, p); err != nil {
+				preEvalDur += time.Since(topStart) - (f.preDur - preFetchBefore)
+				return snapshotFailed(err)
 			}
 		}
 		preEvalDur += time.Since(topStart) - (f.preDur - preFetchBefore)
@@ -737,6 +843,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace, fr *contract.Fr
 		v.Detail = detail
 		v.Elapsed = time.Since(cap.start)
 		v.FetchedPaths = f.fetched
+		v.FetchRounds = f.rounds
 		if outcome == ViolationPostcondition {
 			v.FailingClause = c.Post.String()
 		}

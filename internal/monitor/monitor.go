@@ -193,6 +193,12 @@ type RequestContext struct {
 // monitored cloud over REST (see package osbinding); tests use fakes.
 // Paths that navigate through missing resources must resolve to
 // ocl.Undefined; only infrastructure failures should return an error.
+//
+// Snapshot may be called concurrently, including several times at once
+// for one request: the demand-driven engines read a clause's paths in one
+// concurrent wave, each path its own call sharing the request's ctx.
+// Implementations must be safe for concurrent use and must not modify
+// ctx.
 type StateProvider interface {
 	Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error)
 }
@@ -264,6 +270,11 @@ type Verdict struct {
 	// provider (pre and post phases; cache hits and coalesced waits are
 	// free and not counted).
 	FetchedPaths int
+	// FetchRounds counts the provider rounds this check waited on one
+	// after another: each pre-state wave that missed the cache (the
+	// demand engines), each snapshot call (eager) and each post-state
+	// read. Reads inside one round overlap.
+	FetchRounds int
 	// ReusedPaths counts post-state paths served from the pre-state
 	// snapshot because no active transition's effect could touch them
 	// (lazy evaluation only).
@@ -468,9 +479,11 @@ type Monitor struct {
 	coverage      obs.KeyedCounter
 	transCoverage obs.KeyedCounter
 	// pathsFetched distributes per-request provider path reads; coalesced
-	// counts pre-state fetches that joined another request's flight.
+	// counts pre-state fetches that joined another request's flight;
+	// fetchRounds sums the verdicts' sequential provider rounds.
 	pathsFetched *obs.Histogram
 	coalesced    obs.Counter
+	fetchRounds  obs.Counter
 	// factsPruned counts clause evaluations decided by compile-time facts,
 	// keyed by pruning kind (pre-clause, pre-sibling, post-clause);
 	// factsMismatch counts FactsDebug re-checks that disagreed with a
@@ -757,6 +770,9 @@ func (m *Monitor) checkEager(r *http.Request, cr *compiledRoute, params map[stri
 	paths := cr.paths
 	pre, fetched, err := m.preSnapshot(reqCtx, paths)
 	v.FetchedPaths = fetched
+	if fetched > 0 {
+		v.FetchRounds = 1
+	}
 	if err != nil && m.failPolicy == Degrade {
 		// Degrade: a recent cached pre-state (within the degrade window,
 		// generation-valid) substitutes for the failed live snapshot;
@@ -837,6 +853,9 @@ func (m *Monitor) checkEager(r *http.Request, cr *compiledRoute, params map[stri
 	reqCtx.Phase = PhasePost
 	post, err := m.provider.Snapshot(reqCtx, paths)
 	v.FetchedPaths += len(paths)
+	if len(paths) > 0 {
+		v.FetchRounds++
+	}
 	mark(obs.StagePostSnapshot)
 	if err != nil {
 		// The response is already in hand; under FailOpen and Degrade the
@@ -970,6 +989,7 @@ func (m *Monitor) record(v Verdict) {
 		m.transCoverage.Add(tr, 1)
 	}
 	m.pathsFetched.ObserveCount(v.FetchedPaths)
+	m.fetchRounds.Add(uint64(v.FetchRounds))
 	m.tracer.Observe(&v.Trace)
 	if m.audit != nil && v.Outcome != OK {
 		rec := auditRecord(&v)
@@ -1225,6 +1245,7 @@ func (m *Monitor) ResetLog() {
 	m.tracer.Reset()
 	m.pathsFetched.Reset()
 	m.coalesced.Reset()
+	m.fetchRounds.Reset()
 	m.factsPruned.Reset()
 	m.factsMismatch.Reset()
 	if ap := m.asyncPost; ap != nil {
@@ -1245,6 +1266,9 @@ type FetchStats struct {
 	// Coalesced counts pre-state fetches served by another request's
 	// in-flight read.
 	Coalesced uint64 `json:"coalesced"`
+	// Rounds is the total of the verdicts' FetchRounds: provider rounds
+	// that had to wait one after another.
+	Rounds uint64 `json:"rounds"`
 }
 
 // FetchStats returns the fetch-economy counters.
@@ -1254,6 +1278,7 @@ func (m *Monitor) FetchStats() FetchStats {
 		Requests:     snap.Count,
 		PathsFetched: uint64(snap.Sum + 0.5),
 		Coalesced:    m.coalesced.Value(),
+		Rounds:       m.fetchRounds.Value(),
 	}
 }
 

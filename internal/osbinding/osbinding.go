@@ -51,10 +51,13 @@ type Provider struct {
 	client  *osclient.Client
 	account ServiceAccount
 
-	// Parallel resolves snapshot paths concurrently. Worth enabling when
-	// the cloud is across a network (snapshot latency becomes the slowest
-	// read instead of the sum); for in-process or same-host deployments
-	// the goroutine and lock-contention overhead outweighs the gain (see
+	// Parallel resolves the paths of one Snapshot call concurrently. Only
+	// the eager engine passes several paths per call: the demand-driven
+	// engines issue one path per call and overlap a clause's reads
+	// themselves, so for them this setting does nothing. Under eager it
+	// pays when the cloud is across a network (snapshot latency becomes
+	// the slowest read instead of the sum); in process the goroutine and
+	// lock-contention overhead outweighs the gain (see
 	// BenchmarkSnapshotParallel).
 	Parallel bool
 
@@ -250,7 +253,8 @@ func (p *Provider) retryDo(idempotent bool, fn func(c *osclient.Client) error) e
 }
 
 // Snapshot implements monitor.StateProvider. Paths are independent REST
-// reads; with Parallel set they are resolved concurrently.
+// reads; with Parallel set they are resolved concurrently. Snapshot is safe
+// for concurrent calls sharing one ctx.
 func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.MapEnv, error) {
 	if !p.Parallel || len(paths) < 2 {
 		env := make(ocl.MapEnv, len(paths))

@@ -59,10 +59,10 @@ asyncbench:
 # E20: aggregate throughput of the sharded fleet at N ∈ {1,2,4}
 # instances behind the consistent-hash front, each instance throttled to
 # a small backend connection budget at 1 ms simulated RTT (see
-# EXPERIMENTS.md). The experiment writes BENCH_fleet.json itself and
-# fails if N=4 is not ≥ 2.5× N=1.
+# EXPERIMENTS.md). The experiment writes BENCH_fleet.json (only when
+# asked through -bench-out) and fails if N=4 is not ≥ 2.5× N=1.
 fleetbench:
-	go test -run TestExperimentE20FleetScaling -v .
+	go test -run TestExperimentE20FleetScaling -v . -args -bench-out BENCH_fleet.json
 
 # Fleet soundness: the fleet package and in-process fleet scenarios
 # (verdict conservation, mid-run resize remap invariant, chaos soak

@@ -200,11 +200,13 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 		Stages:     sys.Monitor.StageSummaries,
 		Fetch: func() FetchEconomy {
 			fs := sys.Monitor.FetchStats()
+			ps := sys.Provider.Stats()
 			return FetchEconomy{
 				Requests:     int(fs.Requests),
 				PathsFetched: int(fs.PathsFetched),
 				Coalesced:    int(fs.Coalesced),
-				CloudGets:    int(sys.Provider.Stats().Gets),
+				CloudGets:    int(ps.Gets),
+				ListReuses:   int(ps.ListReuses),
 			}
 		},
 	}

@@ -340,7 +340,9 @@ func (d *FleetDeployment) FetchEconomy() FetchEconomy {
 		fe.Requests += int(fs.Requests)
 		fe.PathsFetched += int(fs.PathsFetched)
 		fe.Coalesced += int(fs.Coalesced)
-		fe.CloudGets += int(in.Sys.Provider.Stats().Gets)
+		ps := in.Sys.Provider.Stats()
+		fe.CloudGets += int(ps.Gets)
+		fe.ListReuses += int(ps.ListReuses)
 	}
 	return fe
 }

@@ -183,6 +183,9 @@ type FetchEconomy struct {
 	Coalesced int `json:"coalesced"`
 	// CloudGets counts the provider's REST GETs (before retries).
 	CloudGets int `json:"cloud_gets"`
+	// ListReuses counts the list GETs among them whose body matched the
+	// last one decoded, so the provider reused its decoded collection.
+	ListReuses int `json:"list_reuses"`
 }
 
 func (f FetchEconomy) sub(before FetchEconomy) FetchEconomy {
@@ -191,6 +194,7 @@ func (f FetchEconomy) sub(before FetchEconomy) FetchEconomy {
 		PathsFetched: f.PathsFetched - before.PathsFetched,
 		Coalesced:    f.Coalesced - before.Coalesced,
 		CloudGets:    f.CloudGets - before.CloudGets,
+		ListReuses:   f.ListReuses - before.ListReuses,
 	}
 }
 

@@ -199,6 +199,11 @@ type RequestContext struct {
 // concurrent wave, each path its own call sharing the request's ctx.
 // Implementations must be safe for concurrent use and must not modify
 // ctx.
+//
+// Returned ocl.Values may be shared across requests (osbinding hands out
+// one decoded collection for as long as the cloud's list body is
+// unchanged) and are read-only: neither the provider nor the monitor may
+// write into a value's Elems after it is returned.
 type StateProvider interface {
 	Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error)
 }

@@ -23,6 +23,8 @@
 package osbinding
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -88,9 +90,14 @@ type Provider struct {
 	retries       obs.Counter
 	authRefreshes obs.Counter
 	gets          obs.Counter
+	listReuses    obs.Counter
+
+	// lists memoises the last decoded body per list URL path (which
+	// carries the project id): string -> *listMemo. See resolveList.
+	lists sync.Map
 }
 
-// ProviderStats snapshots the retry-loop counters.
+// ProviderStats snapshots the retry-loop and read counters.
 type ProviderStats struct {
 	// Attempts counts cloud-read attempts, including retries.
 	Attempts uint64 `json:"attempts"`
@@ -102,6 +109,11 @@ type ProviderStats struct {
 	// each one REST GET against the cloud (before retries). The lazy
 	// monitor's fetch economy is measured against this.
 	Gets uint64 `json:"gets"`
+	// ListReuses counts list reads (project.volumes, project.servers)
+	// whose body was byte-identical to the last one decoded for the same
+	// list, so the memoised collection was returned without decoding.
+	// Every one of them is also counted in Gets.
+	ListReuses uint64 `json:"list_reuses"`
 }
 
 // Stats snapshots the provider's counters.
@@ -111,6 +123,7 @@ func (p *Provider) Stats() ProviderStats {
 		Retries:       p.retries.Value(),
 		AuthRefreshes: p.authRefreshes.Value(),
 		Gets:          p.gets.Value(),
+		ListReuses:    p.listReuses.Value(),
 	}
 }
 
@@ -131,6 +144,9 @@ func (p *Provider) RegisterMetrics(reg *obs.Registry) {
 		w.Counter("cloudmon_cloud_gets_total",
 			"State-path reads issued against the cloud (one REST GET each, before retries).",
 			float64(p.gets.Value()))
+		w.Counter("cloudmon_list_decode_reused_total",
+			"Cloud list reads whose body matched the last one decoded, so the memoised collection was reused (each also counts as a cloud GET).",
+			float64(p.listReuses.Value()))
 		if p.Breaker != nil {
 			var state float64
 			switch p.Breaker.State() {
@@ -365,20 +381,55 @@ func (p *Provider) resolveProjectVolumes(ctx *monitor.RequestContext) (ocl.Value
 	if pid == "" {
 		return ocl.Undefined(), nil
 	}
+	return p.resolveList("/volume/v3/" + pid + "/volumes")
+}
+
+func (p *Provider) resolveProjectServers(ctx *monitor.RequestContext) (ocl.Value, error) {
+	pid := ctx.Params["project_id"]
+	if pid == "" {
+		return ocl.Undefined(), nil
+	}
+	return p.resolveList("/compute/v2.1/" + pid + "/servers")
+}
+
+// listMemo is the last list body decoded for one list URL, with the
+// collection it decoded to. Entries are immutable once stored.
+type listMemo struct {
+	body []byte
+	val  ocl.Value
+}
+
+// resolveList reads a project's volume or server list and yields the
+// collection of its element ids. The GET always goes to the cloud; only
+// the decode is memoised. A 2xx body byte-identical to the last one
+// decoded for the same URL returns the memoised collection, which is
+// shared and read-only: identical bytes decode to identical values, so
+// no verdict can tell the difference. A different body is decoded afresh
+// and replaces the entry; a 404 evicts it.
+func (p *Provider) resolveList(listPath string) (ocl.Value, error) {
 	var out ocl.Value
 	err := p.withRetry(func(c *osclient.Client) error {
-		vols, _, err := c.ListVolumes(pid)
-		if err != nil {
+		var body []byte
+		if _, err := c.Do(http.MethodGet, listPath, nil, &body, nil); err != nil {
 			return err
 		}
-		ids := make([]ocl.Value, len(vols))
-		for i, v := range vols {
-			ids[i] = ocl.StringVal(v.ID)
+		if e, ok := p.lists.Load(listPath); ok {
+			if m := e.(*listMemo); bytes.Equal(body, m.body) {
+				p.listReuses.Inc()
+				out = m.val
+				return nil
+			}
 		}
-		out = ocl.CollectionVal(ids...)
+		v, err := decodeIDs(body)
+		if err != nil {
+			return fmt.Errorf("osbinding: decode %s: %w", listPath, err)
+		}
+		p.lists.Store(listPath, &listMemo{body: body, val: v})
+		out = v
 		return nil
 	})
 	if osclient.IsStatus(err, http.StatusNotFound) {
+		p.lists.Delete(listPath)
 		return ocl.Undefined(), nil
 	}
 	if err != nil {
@@ -387,31 +438,35 @@ func (p *Provider) resolveProjectVolumes(ctx *monitor.RequestContext) (ocl.Value
 	return out, nil
 }
 
-func (p *Provider) resolveProjectServers(ctx *monitor.RequestContext) (ocl.Value, error) {
-	pid := ctx.Params["project_id"]
-	if pid == "" {
-		return ocl.Undefined(), nil
-	}
-	var out ocl.Value
-	err := p.withRetry(func(c *osclient.Client) error {
-		servers, _, err := c.ListServers(pid)
-		if err != nil {
-			return err
+// idList is the part of a volume or server list body the contracts read:
+// each element's id. A body carries one of the two arrays.
+type idList struct {
+	Volumes []idOnly `json:"volumes"`
+	Servers []idOnly `json:"servers"`
+}
+
+type idOnly struct {
+	ID string `json:"id"`
+}
+
+// decodeIDs decodes a list body into a collection of element ids. An
+// empty body is the empty collection.
+func decodeIDs(body []byte) (ocl.Value, error) {
+	var l idList
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &l); err != nil {
+			return ocl.Value{}, err
 		}
-		ids := make([]ocl.Value, len(servers))
-		for i, s := range servers {
-			ids[i] = ocl.StringVal(s.ID)
-		}
-		out = ocl.CollectionVal(ids...)
-		return nil
-	})
-	if osclient.IsStatus(err, http.StatusNotFound) {
-		return ocl.Undefined(), nil
 	}
-	if err != nil {
-		return ocl.Value{}, err
+	elems := l.Volumes
+	if elems == nil {
+		elems = l.Servers
 	}
-	return out, nil
+	ids := make([]ocl.Value, len(elems))
+	for i, e := range elems {
+		ids[i] = ocl.StringVal(e.ID)
+	}
+	return ocl.Value{Kind: ocl.KindCollection, Elems: ids}, nil
 }
 
 func (p *Provider) resolveServerStatus(ctx *monitor.RequestContext) (ocl.Value, error) {

@@ -93,9 +93,10 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // Do performs a JSON request. in (if non-nil) is marshaled as the body;
-// out (if non-nil) receives the decoded response body. It returns the
-// response status code; non-2xx responses additionally return a
-// *StatusError. extraHeaders are applied verbatim.
+// out (if non-nil) receives the decoded response body, or the raw bytes
+// of a 2xx body verbatim when out is a *[]byte. It returns the response
+// status code; non-2xx responses additionally return a *StatusError.
+// extraHeaders are applied verbatim.
 func (c *Client) Do(method, path string, in, out any, extraHeaders map[string]string) (int, error) {
 	return c.DoCtx(context.Background(), method, path, in, out, extraHeaders)
 }
@@ -135,7 +136,7 @@ func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any, ex
 		return 0, fmt.Errorf("osclient: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := readBody(resp)
 	if err != nil {
 		return resp.StatusCode, fmt.Errorf("osclient: read response: %w", err)
 	}
@@ -143,12 +144,31 @@ func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any, ex
 		msg := extractErrorMessage(data)
 		return resp.StatusCode, &StatusError{Status: resp.StatusCode, Message: msg}
 	}
+	if raw, ok := out.(*[]byte); ok {
+		*raw = data
+		return resp.StatusCode, nil
+	}
 	if out != nil && len(data) > 0 {
 		if err := json.Unmarshal(data, out); err != nil {
 			return resp.StatusCode, fmt.Errorf("osclient: decode response: %w", err)
 		}
 	}
 	return resp.StatusCode, nil
+}
+
+// maxBody caps how much of a response body the client reads.
+const maxBody = 1 << 20
+
+// readBody reads a response body of at most maxBody bytes. A declared
+// Content-Length sizes the buffer exactly, sparing io.ReadAll's doubling
+// garbage on large list bodies; a body shorter than declared is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBody {
+		buf := make([]byte, n)
+		read, err := io.ReadFull(resp.Body, buf)
+		return buf[:read], err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBody))
 }
 
 // extractErrorMessage pulls the message out of an OpenStack-style error
@@ -212,7 +232,7 @@ func (c *Client) Authenticate(userName, password, projectID string) (string, err
 		return "", fmt.Errorf("osclient: auth: %w", err)
 	}
 	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, _ := readBody(resp)
 	if resp.StatusCode != http.StatusCreated {
 		return "", &StatusError{Status: resp.StatusCode, Message: extractErrorMessage(data)}
 	}

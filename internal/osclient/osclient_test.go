@@ -1,6 +1,8 @@
 package osclient
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"testing"
 
@@ -196,5 +198,66 @@ func TestDoErrorPaths(t *testing.T) {
 		t.Error("unreachable host should error")
 	} else if IsStatus(err, 0) {
 		t.Error("transport error must not be a StatusError")
+	}
+}
+
+// roundTripFunc serves a scripted response.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// scripted returns a client whose every request gets status and body,
+// with the declared Content-Length (-1 for unknown).
+func scripted(status int, body []byte, contentLength int64) *Client {
+	c := New("http://cloud.internal")
+	c.HTTPClient = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode:    status,
+			Header:        make(http.Header),
+			Body:          io.NopCloser(bytes.NewReader(body)),
+			ContentLength: contentLength,
+			Request:       r,
+		}, nil
+	})}
+	return c
+}
+
+// TestDoRawBody: an out of type *[]byte receives a 2xx body verbatim,
+// read into a buffer sized by Content-Length when it is declared and
+// capped at 1 MiB either way; errors are unchanged.
+func TestDoRawBody(t *testing.T) {
+	body := []byte(`{"volumes": [{"id": "a"}, {"id": "b"}]}`)
+	for _, cl := range []int64{int64(len(body)), -1} {
+		var raw []byte
+		if _, err := scripted(http.StatusOK, body, cl).Do(http.MethodGet, "/x", nil, &raw, nil); err != nil {
+			t.Fatalf("content-length %d: %v", cl, err)
+		}
+		if !bytes.Equal(raw, body) {
+			t.Fatalf("content-length %d: raw %q, want %q", cl, raw, body)
+		}
+		if cl >= 0 && cap(raw) != len(body) {
+			t.Fatalf("declared length %d read into a %d-byte buffer", cl, cap(raw))
+		}
+	}
+
+	big := bytes.Repeat([]byte("x"), maxBody+10)
+	var raw []byte
+	if _, err := scripted(http.StatusOK, big, -1).Do(http.MethodGet, "/x", nil, &raw, nil); err != nil || len(raw) != maxBody {
+		t.Fatalf("oversized body: %d bytes, err %v; want the first %d", len(raw), err, maxBody)
+	}
+	raw = nil
+	if _, err := scripted(http.StatusOK, big, int64(len(big))).Do(http.MethodGet, "/x", nil, &raw, nil); err != nil || len(raw) != maxBody {
+		t.Fatalf("oversized declared body: %d bytes, err %v; want the first %d", len(raw), err, maxBody)
+	}
+
+	raw = nil
+	if _, err := scripted(http.StatusOK, body[:5], int64(len(body))).Do(http.MethodGet, "/x", nil, &raw, nil); err == nil {
+		t.Fatal("a body shorter than its Content-Length must be a read error")
+	}
+
+	raw = nil
+	_, err := scripted(http.StatusNotFound, []byte(`{"error": {"message": "gone"}}`), -1).Do(http.MethodGet, "/x", nil, &raw, nil)
+	if !IsStatus(err, http.StatusNotFound) || raw != nil {
+		t.Fatalf("404: err %v, raw %q; want a StatusError and no body", err, raw)
 	}
 }

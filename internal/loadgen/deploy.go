@@ -202,11 +202,12 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 			fs := sys.Monitor.FetchStats()
 			ps := sys.Provider.Stats()
 			return FetchEconomy{
-				Requests:     int(fs.Requests),
-				PathsFetched: int(fs.PathsFetched),
-				Coalesced:    int(fs.Coalesced),
-				CloudGets:    int(ps.Gets),
-				ListReuses:   int(ps.ListReuses),
+				Requests:      int(fs.Requests),
+				PathsFetched:  int(fs.PathsFetched),
+				Coalesced:     int(fs.Coalesced),
+				CoalescedPost: int(fs.CoalescedPost),
+				CloudGets:     int(ps.Gets),
+				ListReuses:    int(ps.ListReuses),
 			}
 		},
 	}

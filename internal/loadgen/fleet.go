@@ -340,6 +340,7 @@ func (d *FleetDeployment) FetchEconomy() FetchEconomy {
 		fe.Requests += int(fs.Requests)
 		fe.PathsFetched += int(fs.PathsFetched)
 		fe.Coalesced += int(fs.Coalesced)
+		fe.CoalescedPost += int(fs.CoalescedPost)
 		ps := in.Sys.Provider.Stats()
 		fe.CloudGets += int(ps.Gets)
 		fe.ListReuses += int(ps.ListReuses)

@@ -172,15 +172,17 @@ type Target struct {
 }
 
 // FetchEconomy is the cloud-read cost of a run: how many state paths the
-// monitor fetched, how many of those fetches were coalesced onto another
-// request's in-flight read, and how many REST GETs actually hit the cloud.
+// monitor fetched, how many reads were shared from another request's
+// in-flight read instead, and how many REST GETs actually hit the cloud.
 type FetchEconomy struct {
 	// Requests counts verdicts with fetch accounting.
 	Requests int `json:"requests"`
 	// PathsFetched is the total provider path reads across them.
 	PathsFetched int `json:"paths_fetched"`
-	// Coalesced counts fetches served by another request's in-flight read.
-	Coalesced int `json:"coalesced"`
+	// Coalesced counts reads, pre- and post-state, served by another
+	// request's in-flight read; CoalescedPost is the post-state share.
+	Coalesced     int `json:"coalesced"`
+	CoalescedPost int `json:"coalesced_post"`
 	// CloudGets counts the provider's REST GETs (before retries).
 	CloudGets int `json:"cloud_gets"`
 	// ListReuses counts the list GETs among them whose body matched the
@@ -190,11 +192,12 @@ type FetchEconomy struct {
 
 func (f FetchEconomy) sub(before FetchEconomy) FetchEconomy {
 	return FetchEconomy{
-		Requests:     f.Requests - before.Requests,
-		PathsFetched: f.PathsFetched - before.PathsFetched,
-		Coalesced:    f.Coalesced - before.Coalesced,
-		CloudGets:    f.CloudGets - before.CloudGets,
-		ListReuses:   f.ListReuses - before.ListReuses,
+		Requests:      f.Requests - before.Requests,
+		PathsFetched:  f.PathsFetched - before.PathsFetched,
+		Coalesced:     f.Coalesced - before.Coalesced,
+		CoalescedPost: f.CoalescedPost - before.CoalescedPost,
+		CloudGets:     f.CloudGets - before.CloudGets,
+		ListReuses:    f.ListReuses - before.ListReuses,
 	}
 }
 

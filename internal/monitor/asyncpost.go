@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,9 +170,9 @@ func (ap *asyncPost) enqueue(pc *postCapture, policy BackpressurePolicy) bool {
 // matters — reads stream through unfenced, and a write's wait overlaps the
 // pending captures' fetches, which started at the previous response — so
 // serial workloads get verdict-for-verdict equivalence by construction.
-func (m *Monitor) fenceWrites(method string) {
+func (m *Monitor) fenceWrites() {
 	ap := m.asyncPost
-	if ap == nil || method == http.MethodGet || method == http.MethodHead {
+	if ap == nil {
 		return
 	}
 	if ap.pending.Load() == 0 {

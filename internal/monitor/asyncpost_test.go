@@ -50,9 +50,10 @@ func newAsyncMonitor(t *testing.T, cfg Config) *Monitor {
 	return m
 }
 
-func doAsyncGet(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
+// doAsyncGet issues a GET of volume v1 in the given project.
+func doAsyncGet(t *testing.T, m *Monitor, project string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/projects/p1/volumes/v1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/projects/"+project+"/volumes/v1", nil)
 	req.Header.Set("X-Auth-Token", "tok")
 	rec := httptest.NewRecorder()
 	m.ServeHTTP(rec, req)
@@ -61,8 +62,9 @@ func doAsyncGet(t *testing.T, m *Monitor) *httptest.ResponseRecorder {
 
 // TestAsyncBackpressureMatrix crosses both backpressure policies with all
 // three fail policies under a saturated queue: capacity one, one worker,
-// and a post-phase read slow enough that a serial burst outruns it. The
-// invariants per cell: exactly one verdict per request; under shed every
+// and a post-phase read slow enough that a serial burst outruns it. Each
+// burst request addresses its own project, so no read of the burst can
+// be shared and pace it, whatever the join rule. The invariants per cell: exactly one verdict per request; under shed every
 // rejected capture becomes an audited Unverified verdict tagged shed=true
 // (counted, never silently dropped); under block nothing is shed or
 // dropped and verdicts land in response order.
@@ -94,7 +96,7 @@ func TestAsyncBackpressureMatrix(t *testing.T) {
 				}
 				m := newAsyncMonitor(t, cfg)
 				for i := 0; i < burst; i++ {
-					if rec := doAsyncGet(t, m); rec.Code != 200 {
+					if rec := doAsyncGet(t, m, fmt.Sprintf("p%d", i)); rec.Code != 200 {
 						t.Fatalf("request %d: status %d, want 200", i, rec.Code)
 					}
 				}

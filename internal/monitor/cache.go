@@ -4,14 +4,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloudmon/internal/obs"
 	"cloudmon/internal/ocl"
 )
 
-// CacheStats are the pre-state cache's hit/generation counters, exported
+// CacheStats are the pre-state cache's hit/invalidation counters, exported
 // on /metrics.
 type CacheStats struct {
 	// Hits and Misses count fresh-read lookups (per path).
@@ -19,17 +18,18 @@ type CacheStats struct {
 	Misses uint64 `json:"misses"`
 	// StaleHits counts degrade-path lookups served past the TTL.
 	StaleHits uint64 `json:"stale_hits"`
-	// Invalidations counts project generation bumps from forwarded
-	// writes.
+	// Invalidations counts forwarded writes and fleet invalidations, each
+	// of which moved its project's write epoch past every cached entry.
 	Invalidations uint64 `json:"invalidations"`
 }
 
 // snapshotCache is the optional short-TTL pre-state read cache. Entries are
 // keyed by (navigation path, requester token, URI params) and carry the
-// project's generation counter at fetch time: any forwarded write for the
-// project bumps the counter, invalidating every cached value for it in
-// O(1). The TTL additionally bounds how long a write that bypassed the
-// monitor can stay invisible.
+// project's write epoch at fetch time (the monitor's writeEpochs): any
+// forwarded write for the project moves the epoch as it starts and as it
+// ends, invalidating every cached value for it in O(1). The TTL
+// additionally bounds how long a write that bypassed the monitor can stay
+// invisible.
 //
 // Only the pre-state lookup consults the cache; post-state snapshots always
 // read the cloud, because the post-condition verifies the request's own
@@ -38,8 +38,9 @@ type snapshotCache struct {
 	ttl    time.Duration
 	now    func() time.Time
 	shards [cacheShards]cacheShard
-	// gens maps project id -> *atomic.Uint64 generation counter.
-	gens sync.Map
+	// epochs is the monitor's write clock; entries of an older epoch are
+	// stale.
+	epochs *writeEpochs
 
 	// Lock-free observability counters (see CacheStats).
 	hits          obs.Counter
@@ -78,31 +79,12 @@ type cacheEntry struct {
 	gen     uint64
 }
 
-func newSnapshotCache(ttl time.Duration) *snapshotCache {
-	c := &snapshotCache{ttl: ttl, now: time.Now}
+func newSnapshotCache(ttl time.Duration, epochs *writeEpochs) *snapshotCache {
+	c := &snapshotCache{ttl: ttl, now: time.Now, epochs: epochs}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]cacheEntry)
 	}
 	return c
-}
-
-// projectGen returns the project's current invalidation generation.
-func (c *snapshotCache) projectGen(project string) uint64 {
-	if g, ok := c.gens.Load(project); ok {
-		return g.(*atomic.Uint64).Load()
-	}
-	return 0
-}
-
-// invalidateProject bumps the project's generation, making every cached
-// entry fetched under an older generation stale.
-func (c *snapshotCache) invalidateProject(project string) {
-	g, ok := c.gens.Load(project)
-	if !ok {
-		g, _ = c.gens.LoadOrStore(project, new(atomic.Uint64))
-	}
-	g.(*atomic.Uint64).Add(1)
-	c.invalidations.Inc()
 }
 
 // cacheKey builds the entry key. The token partitions requester-dependent
@@ -142,7 +124,7 @@ func (c *snapshotCache) shardFor(key string) *cacheShard {
 }
 
 // get returns the cached value for (path, token, params) if fresh under
-// the project's current generation. The second return distinguishes "path
+// the project's current write epoch. The second return distinguishes "path
 // was absent from the provider snapshot" (ok, present=false) from a miss.
 func (c *snapshotCache) get(path, token, paramsKey, project string) (ocl.Value, bool, bool) {
 	key := cacheKey(path, token, paramsKey)
@@ -150,7 +132,7 @@ func (c *snapshotCache) get(path, token, paramsKey, project string) (ocl.Value, 
 	sh.mu.RLock()
 	e, ok := sh.entries[key]
 	sh.mu.RUnlock()
-	if !ok || c.now().After(e.expires) || e.gen != c.projectGen(project) {
+	if !ok || c.now().After(e.expires) || e.gen != c.epochs.current(project) {
 		c.misses.Inc()
 		return ocl.Value{}, false, false
 	}
@@ -158,8 +140,8 @@ func (c *snapshotCache) get(path, token, paramsKey, project string) (ocl.Value, 
 	return e.val, e.present, true
 }
 
-// put stores a fetched value under the generation captured before the
-// fetch started, so a write that lands mid-fetch invalidates it.
+// put stores a fetched value under the write epoch captured before the
+// fetch started, so a write that overlaps the fetch invalidates it.
 func (c *snapshotCache) put(path, token, paramsKey, project string, val ocl.Value, present bool, gen uint64) {
 	key := cacheKey(path, token, paramsKey)
 	sh := c.shardFor(key)
@@ -178,14 +160,14 @@ func (c *snapshotCache) put(path, token, paramsKey, project string, val ocl.Valu
 
 // getStale is the degrade-path lookup: it accepts entries past the normal
 // TTL as long as they were fetched within maxAge and belong to the
-// project's current generation. Normal (non-degraded) reads must use get.
+// project's current write epoch. Normal (non-degraded) reads must use get.
 func (c *snapshotCache) getStale(path, token, paramsKey, project string, maxAge time.Duration) (ocl.Value, bool, bool) {
 	key := cacheKey(path, token, paramsKey)
 	sh := c.shardFor(key)
 	sh.mu.RLock()
 	e, ok := sh.entries[key]
 	sh.mu.RUnlock()
-	if !ok || c.now().Sub(e.fetched) > maxAge || e.gen != c.projectGen(project) {
+	if !ok || c.now().Sub(e.fetched) > maxAge || e.gen != c.epochs.current(project) {
 		return ocl.Value{}, false, false
 	}
 	c.staleHits.Inc()
@@ -196,7 +178,7 @@ func (c *snapshotCache) getStale(path, token, paramsKey, project string, maxAge 
 // fail policy's fallback when the live snapshot fails. Entries may be
 // older than the read-cache TTL (a live snapshot would otherwise have
 // succeeded) but must be younger than the degrade window and of the
-// project's current generation. Every path must be served; one miss and
+// project's current write epoch. Every path must be served; one miss and
 // the fallback is refused (a partial pre-state would evaluate formulas
 // over silently-undefined values).
 func (m *Monitor) cachedPre(reqCtx *RequestContext, paths []string) (ocl.MapEnv, bool) {
@@ -243,7 +225,7 @@ func (m *Monitor) preSnapshot(reqCtx *RequestContext, paths []string) (ocl.MapEn
 	if len(missing) == 0 {
 		return env, 0, nil
 	}
-	gen := m.cache.projectGen(project)
+	gen := m.epochs.current(project)
 	fetched, err := m.provider.Snapshot(reqCtx, missing)
 	if err != nil {
 		return nil, len(missing), err

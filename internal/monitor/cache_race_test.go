@@ -58,7 +58,7 @@ func TestCacheGenerationRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				v := p.n.Add(1)
-				m.cache.invalidateProject("p1")
+				m.InvalidateProject("p1")
 				// Publish monotonically: a racing slower writer must not
 				// roll the floor back.
 				for {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cloudmon/internal/contract"
@@ -162,21 +163,47 @@ func (e *lazyEnv) value(path string) (ocl.Value, bool) {
 	return v, ok
 }
 
-// flightGroup coalesces identical concurrent cloud GETs: the first caller
-// for a key becomes the flight leader and performs the fetch (capturing the
-// cache generation before it starts, so it alone may store the result);
-// callers arriving while the flight is open wait for the leader's result
-// and never touch the cache. Flight keys are the pre-state cache keys —
-// (path, token, params) — so coalescing and caching agree on identity.
-// Post-state fetches never join a flight: a request must observe its own
-// forwarded effect, not a read that started before it.
+// flightGroup shares concurrent cloud reads between requests. The first
+// request to read a key leads a flight and calls the provider; a request
+// that reads the same key while the flight is open may join it and wait
+// for the leader's value instead of reading itself. Keys are the
+// provider's ReadKey (the cloud read a path resolves through) or, for a
+// provider without one, the pre-state cache key (path, token, params).
+//
+// A joined value must be one the joiner could have read itself, so a
+// request joins only a flight that
+//   - was stamped clean: no write of the project was in flight when the
+//     leader's read began;
+//   - still carries the project's current write epoch: no monitored write
+//     started or ended since, so the state the leader reads is the state
+//     the joiner would read;
+//   - for a post-state read, started after the joiner's own forward
+//     returned, so the read observes the joiner's effect.
+//
+// Only reads (GET and HEAD) join. A mutation always reads live, but its
+// reads lead flights that reads may join. A request refused a join leads
+// a flight of its own, which replaces the old one for later arrivals.
+// A deferred post check (PostAsync) neither joins nor leads: it reads
+// after its response returned, beside the same client's next request,
+// and one client's requests never share a read.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
+	// seq numbers flights in start order; a post-state read joins only
+	// flights numbered after its forward returned.
+	seq uint64
 }
 
 type flight struct {
-	done    chan struct{}
+	done chan struct{}
+	// seq, project, epoch and clean are the flight's start stamp; they
+	// never change after the flight is published.
+	seq     uint64
+	project string
+	epoch   uint64
+	clean   bool
+	// val, present and err are the leader's result, readable once done
+	// is closed.
 	val     ocl.Value
 	present bool
 	err     error
@@ -186,25 +213,41 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{m: make(map[string]*flight)}
 }
 
-// do runs fn once per open key: the leader executes it, everyone else waits
-// and shares the result. coalesced counts the waiters.
-func (g *flightGroup) do(key string, fn func() (ocl.Value, bool, error), coalesced *obs.Counter) (ocl.Value, bool, error) {
+// started returns the number of the last flight started so far.
+func (g *flightGroup) started() uint64 {
 	g.mu.Lock()
-	if fl, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-fl.done
-		coalesced.Inc()
-		return fl.val, fl.present, fl.err
+	defer g.mu.Unlock()
+	return g.seq
+}
+
+// acquire returns the flight a read of key for project waits on. With
+// lead false the caller joins: it waits on done and shares the result.
+// With lead true the caller must read and then call land. join says the
+// caller may join at all (a read request); after is the flight number a
+// joinable flight must exceed.
+func (g *flightGroup) acquire(key, project string, join bool, after uint64, epochs *writeEpochs) (fl *flight, lead bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if fl, ok := g.m[key]; ok && join && fl.seq > after && fl.clean &&
+		fl.project == project && epochs.current(project) == fl.epoch {
+		return fl, false
 	}
-	fl := &flight{done: make(chan struct{})}
+	g.seq++
+	fl = &flight{done: make(chan struct{}), seq: g.seq, project: project}
+	fl.epoch, fl.clean = epochs.stamp(project)
 	g.m[key] = fl
-	g.mu.Unlock()
-	fl.val, fl.present, fl.err = fn()
+	return fl, true
+}
+
+// land publishes the leader's result and closes the flight.
+func (g *flightGroup) land(key string, fl *flight, val ocl.Value, present bool, err error) {
+	fl.val, fl.present, fl.err = val, present, err
 	g.mu.Lock()
-	delete(g.m, key)
+	if g.m[key] == fl {
+		delete(g.m, key)
+	}
 	g.mu.Unlock()
 	close(fl.done)
-	return fl.val, fl.present, fl.err
 }
 
 // lazyFetcher performs the per-path cloud reads of one lazy check,
@@ -213,7 +256,17 @@ type lazyFetcher struct {
 	m       *Monitor
 	reqCtx  *RequestContext
 	project string
-	pk      string
+	// pk is the URI-param part of cache and default flight keys; empty
+	// when neither needs it.
+	pk string
+	// join: the request is a read and may join other requests' flights.
+	join bool
+	// fwdSeq is the flight number current when the forward returned;
+	// post-state reads join only later flights.
+	fwdSeq uint64
+	// deferred: the post phase runs on the async post workers and shares
+	// no read.
+	deferred bool
 
 	// wave is the path list the next pre-state wave draws from: the
 	// clause under evaluation (PreClause.Paths) or the top-up's paths.
@@ -221,7 +274,7 @@ type lazyFetcher struct {
 	// parked holds wave members whose read failed and that evaluation has
 	// not asked for yet; fetchPre hands each error out once.
 	parked []waveRead
-	// wg joins a wave's helper goroutines.
+	// wg joins a wave's helper reads.
 	wg sync.WaitGroup
 
 	degraded bool
@@ -272,11 +325,11 @@ func (f *lazyFetcher) fetchPre(env *lazyEnv, path string) error {
 // runWave reads path together with every path of f.wave that is neither
 // fetched nor parked: one provider round instead of one per path. The
 // demanded path's read runs on the request goroutine, the others on
-// short-lived goroutines. Results reach env (and through it the slot
-// frame) only after the join, on the request goroutine, so neither needs
-// a lock. The demanded path's error is returned; other failed members are
-// parked until evaluation asks for them, so a failure on a path the
-// verdict never needs cannot change it.
+// parked reader goroutines (startRead). Results reach env (and through it
+// the slot frame) only after the join, on the request goroutine, so
+// neither needs a lock. The demanded path's error is returned; other
+// failed members are parked until evaluation asks for them, so a failure
+// on a path the verdict never needs cannot change it.
 func (f *lazyFetcher) runWave(env *lazyEnv, path string) error {
 	reads := make([]waveRead, 1, 1+len(f.wave))
 	reads[0].path = path
@@ -288,7 +341,7 @@ func (f *lazyFetcher) runWave(env *lazyEnv, path string) error {
 	t0 := time.Now()
 	f.wg.Add(len(reads) - 1)
 	for i := 1; i < len(reads); i++ {
-		go f.readAsync(&reads[i])
+		startRead(waveTask{f: f, r: &reads[i]})
 	}
 	f.read(&reads[0])
 	f.wg.Wait()
@@ -313,15 +366,62 @@ func (f *lazyFetcher) runWave(env *lazyEnv, path string) error {
 	return reads[0].err
 }
 
-func (f *lazyFetcher) readAsync(r *waveRead) {
-	defer f.wg.Done()
-	f.read(r)
+// waveTask is one helper member of a wave, handed to a reader goroutine.
+type waveTask struct {
+	f *lazyFetcher
+	r *waveRead
 }
 
-// read is one wave member: cache first, then a coalesced provider fetch.
-// The flight leader captures the project generation before fetching and
-// is the only writer to the cache, so a waiter can never store a value
-// observed before a write that invalidated it.
+// run reads the member and releases its reader before the wave's join
+// can return, so the next wave finds the reader counted idle.
+func (t waveTask) run() {
+	t.f.read(t.r)
+	readersBusy.Add(-1)
+	t.f.wg.Done()
+}
+
+// Wave members run on a process-wide pool of reader goroutines. A reader
+// that finishes a task parks on waveReaders, an unbuffered hand-off, so
+// it holds no task — and keeps no Monitor alive — while idle. A reader
+// keeps the stack it grew through the HTTP client, which a fresh
+// goroutine per member would grow again on every read. Like sync.Pool,
+// the pool is shared by every Monitor in the process; it has no cap and
+// no idle timeout, because it never holds more readers than were once
+// busy at the same time.
+//
+// readersBusy counts tasks handed out and not yet finished, readersTotal
+// the readers started. A task that finds busy ≤ total has a reader that
+// is idle or about to park, so the blocking send returns promptly;
+// otherwise a new reader runs it.
+var (
+	waveReaders  = make(chan waveTask)
+	readersBusy  atomic.Int64
+	readersTotal atomic.Int64
+)
+
+// startRead runs t on an idle reader, or on a new one when none is idle;
+// the new reader parks once t is done.
+func startRead(t waveTask) {
+	if readersBusy.Add(1) <= readersTotal.Load() {
+		waveReaders <- t
+		return
+	}
+	readersTotal.Add(1)
+	go readLoop(t)
+}
+
+func readLoop(t waveTask) {
+	t.run()
+	for t := range waveReaders {
+		t.run()
+	}
+}
+
+// read is one wave member: cache first, then a shared provider read. The
+// flight leader is the only writer to the cache and stores under the
+// write epoch stamped before its read began, so neither a waiter nor a
+// read that overlapped a write can store a value a later request would
+// wrongly trust.
 func (f *lazyFetcher) read(r *waveRead) {
 	m := f.m
 	if m.cache != nil {
@@ -331,22 +431,45 @@ func (f *lazyFetcher) read(r *waveRead) {
 		}
 	}
 	r.missed = true
-	r.val, r.present, r.err = m.flights.do(cacheKey(r.path, f.reqCtx.Token, f.pk), func() (ocl.Value, bool, error) {
-		var gen uint64
-		if m.cache != nil {
-			gen = m.cache.projectGen(f.project)
-		}
-		r.issued = true
-		snap, err := m.provider.Snapshot(f.reqCtx, []string{r.path})
-		if err != nil {
-			return ocl.Value{}, false, err
-		}
-		v, ok := snap[r.path]
-		if m.cache != nil {
-			m.cache.put(r.path, f.reqCtx.Token, f.pk, f.project, v, ok, gen)
-		}
-		return v, ok, nil
-	}, &m.coalesced)
+	var fl *flight
+	fl, r.issued = f.share(r.path, 0, &m.coalescedPre)
+	r.val, r.present, r.err = fl.val, fl.present, fl.err
+	if r.issued && r.err == nil && m.cache != nil {
+		m.cache.put(r.path, f.reqCtx.Token, f.pk, f.project, r.val, r.present, fl.epoch)
+	}
+}
+
+// share reads path through the flight group, joining a flight numbered
+// after after when the join rule allows (counted in joined), and returns
+// the landed flight; issued reports that this request led it. The key is
+// the provider's ReadKey, or the cache key without one.
+func (f *lazyFetcher) share(path string, after uint64, joined *obs.Counter) (fl *flight, issued bool) {
+	m := f.m
+	var key string
+	if m.readKeys != nil {
+		key = m.readKeys.ReadKey(f.reqCtx, path)
+	} else {
+		key = cacheKey(path, f.reqCtx.Token, f.pk)
+	}
+	fl, lead := m.flights.acquire(key, f.project, f.join, after, &m.epochs)
+	if !lead {
+		<-fl.done
+		joined.Inc()
+		return fl, false
+	}
+	v, present, err := f.snapshot(path)
+	m.flights.land(key, fl, v, present, err)
+	return fl, true
+}
+
+// snapshot reads one path from the provider.
+func (f *lazyFetcher) snapshot(path string) (ocl.Value, bool, error) {
+	snap, err := f.m.provider.Snapshot(f.reqCtx, []string{path})
+	if err != nil {
+		return ocl.Value{}, false, err
+	}
+	v, ok := snap[path]
+	return v, ok, nil
 }
 
 // parkedAt returns the index of path's unread wave failure, or -1.
@@ -359,21 +482,33 @@ func (f *lazyFetcher) parkedAt(path string) int {
 	return -1
 }
 
-// fetchPost resolves one post-state path straight from the cloud — no
-// cache, no coalescing: the post-condition verifies this request's own
-// effect, so joining a read that started before the forward would compare
-// against stale state.
+// fetchPost resolves one post-state path from the cloud, never from the
+// cache: the post-condition verifies this request's own effect. A read
+// request may join a flight that started after its forward returned (and
+// that the join rule allows); a read that started before the forward
+// would compare against stale state. A deferred post check reads live
+// and publishes no flight (see flightGroup).
 func (f *lazyFetcher) fetchPost(env *lazyEnv, path string) error {
 	t0 := time.Now()
-	f.fetched++
 	f.rounds++
-	snap, err := f.m.provider.Snapshot(f.reqCtx, []string{path})
+	var v ocl.Value
+	var present bool
+	var err error
+	if f.deferred {
+		f.fetched++
+		v, present, err = f.snapshot(path)
+	} else {
+		fl, issued := f.share(path, f.fwdSeq, &f.m.coalescedPost)
+		if issued {
+			f.fetched++
+		}
+		v, present, err = fl.val, fl.present, fl.err
+	}
 	f.postDur += time.Since(t0)
 	if err != nil {
 		return err
 	}
-	v, ok := snap[path]
-	env.set(path, v, ok)
+	env.set(path, v, present)
 	return nil
 }
 
@@ -514,7 +649,10 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 		m:       m,
 		reqCtx:  reqCtx,
 		project: params["project_id"],
-		pk:      paramsCacheKey(params),
+		join:    !mutates(r.Method),
+	}
+	if m.cache != nil || m.readKeys == nil {
+		f.pk = paramsCacheKey(params)
 	}
 	var preEvalDur, postEvalDur time.Duration
 	finish := func(outcome Outcome, detail string) Verdict {
@@ -542,17 +680,13 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 	// ran per path inside fetchPre).
 	snapshotFailed := func(err error) (Verdict, *BackendResponse, *postCapture) {
 		if m.failPolicy == FailOpen {
-			m.fenceWrites(r.Method)
-			fwdStart := time.Now()
-			resp, ferr := m.forward.Forward(r, &cr.route, params)
-			trace[obs.StageForward] = time.Since(fwdStart)
+			resp, ferr := m.forwardRequest(r, cr, params, trace)
 			if ferr != nil {
 				return finish(Error, fmt.Sprintf(
 					"pre-state snapshot: %v; forward to cloud: %v", err, ferr)), nil, nil
 			}
 			v.Forwarded = true
 			v.BackendStatus = resp.StatusCode
-			m.forwardedWrite(r.Method, params["project_id"])
 			return finish(Unverified, fmt.Sprintf("pre-state snapshot failed (fail-open): %v", err)), resp, nil
 		}
 		return finish(Error, fmt.Sprintf("pre-state snapshot: %v", err)), nil, nil
@@ -717,22 +851,16 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 		v.DegradedPre = f.degraded
 	}
 
-	// A deferred post check reads the cloud after its response returns; a
-	// write forwarded underneath it would interfere. Mutations wait here
-	// for the pending deferred checks — reads pass straight through — so
-	// async verdicts match the synchronous ordering (see fenceWrites).
-	m.fenceWrites(r.Method)
-	fwdStart := time.Now()
-	resp, err := m.forward.Forward(r, &cr.route, params)
-	trace[obs.StageForward] = time.Since(fwdStart)
+	// A mutation waits on the async write fence and runs inside its
+	// project's write bracket (forwardRequest). The post-state reads
+	// below may share only flights that start from here on.
+	resp, err := m.forwardRequest(r, cr, params, trace)
 	if err != nil {
 		return finish(Error, fmt.Sprintf("forward to cloud: %v", err)), nil, nil
 	}
+	f.fwdSeq = m.flights.started()
 	v.Forwarded = true
 	v.BackendStatus = resp.StatusCode
-	// A forwarded write may change any state the project's contracts
-	// read: drop the project's cached pre-state and tell the fleet hook.
-	m.forwardedWrite(r.Method, params["project_id"])
 
 	if !preOK {
 		// Observe mode with a forbidden request: the cloud must reject it.
@@ -779,6 +907,7 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 		// indistinguishable. The response-path trace keeps the pre-phase
 		// spans; the worker fills in the post spans on its own copy.
 		pre.slotSet = nil
+		f.deferred = true
 		trace[obs.StagePreSnapshot] = f.preDur
 		trace[obs.StagePreEval] = preEvalDur
 		// Pending from this moment — before the response is written — so

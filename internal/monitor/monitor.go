@@ -204,8 +204,26 @@ type RequestContext struct {
 // one decoded collection for as long as the cloud's list body is
 // unchanged) and are read-only: neither the provider nor the monitor may
 // write into a value's Elems after it is returned.
+//
+// Concurrent requests share cloud reads: a request may receive a value
+// another request's Snapshot call returned, under the join rule of the
+// monitor's flight group (a read still in flight that no monitored write
+// could have changed). Which reads count as the same read is the
+// provider's to say through ReadKeyer; a provider without it shares only
+// between requests with the same path, token and URI params.
 type StateProvider interface {
 	Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error)
+}
+
+// ReadKeyer is the optional StateProvider extension that names the cloud
+// read behind a state path. Two (ctx, path) pairs with equal keys must
+// resolve to equal values when read at the same instant, so distinct
+// paths need distinct keys; a key that omits what the read does not
+// depend on — the requester's token for a service-account read, the
+// volume id for a project-wide list — lets more requests share it.
+// ReadKey is called concurrently and must not modify ctx.
+type ReadKeyer interface {
+	ReadKey(ctx *RequestContext, path string) string
 }
 
 // Forwarder sends the (possibly rewritten) request to the private cloud
@@ -430,11 +448,11 @@ type Config struct {
 	// that produced it. Empty for single-instance deployments.
 	InstanceID string
 	// OnInvalidate, if set, is invoked synchronously with the project id
-	// whenever the monitor forwards a write (non-GET) — the hook the
-	// fleet's cross-instance invalidation bus hangs off: an instance that
-	// mutates state for a project it does not own posts a generation bump
-	// to the owner. The local pre-state cache is always invalidated first,
-	// regardless of this hook.
+	// whenever a forwarded write (not GET or HEAD) got a response — the
+	// hook the fleet's cross-instance invalidation bus hangs off: an
+	// instance that mutates state for a project it does not own posts an
+	// epoch bump to the owner. The local write epoch has always moved
+	// first, regardless of this hook.
 	OnInvalidate func(project string)
 }
 
@@ -458,8 +476,13 @@ type Monitor struct {
 	audit       *obs.AuditLog
 	instanceID  string
 	onInvalid   func(project string)
-	// flights coalesces identical concurrent pre-state GETs (lazy engine).
-	flights *flightGroup
+	// flights shares concurrent cloud reads (demand engines) under the
+	// join rule; readKeys is the provider's ReadKeyer, nil without one.
+	flights  *flightGroup
+	readKeys ReadKeyer
+	// epochs is the per-project write clock every forwarded mutation,
+	// fleet invalidation, shared read and cache entry is ordered by.
+	epochs writeEpochs
 	// post/postBackpressure/asyncPost form the deferred post-verification
 	// pipeline (asyncpost.go); asyncPost is nil under PostSync.
 	post             PostMode
@@ -483,12 +506,14 @@ type Monitor struct {
 	outcomes      [numOutcomes]obs.Counter
 	coverage      obs.KeyedCounter
 	transCoverage obs.KeyedCounter
-	// pathsFetched distributes per-request provider path reads; coalesced
-	// counts pre-state fetches that joined another request's flight;
-	// fetchRounds sums the verdicts' sequential provider rounds.
-	pathsFetched *obs.Histogram
-	coalesced    obs.Counter
-	fetchRounds  obs.Counter
+	// pathsFetched distributes per-request provider path reads;
+	// coalescedPre/coalescedPost count pre- and post-state reads that
+	// joined another request's flight; fetchRounds sums the verdicts'
+	// sequential provider rounds.
+	pathsFetched  *obs.Histogram
+	coalescedPre  obs.Counter
+	coalescedPost obs.Counter
+	fetchRounds   obs.Counter
 	// factsPruned counts clause evaluations decided by compile-time facts,
 	// keyed by pruning kind (pre-clause, pre-sibling, post-clause);
 	// factsMismatch counts FactsDebug re-checks that disagreed with a
@@ -618,8 +643,9 @@ func New(cfg Config) (*Monitor, error) {
 	if m.shardMax < 1 {
 		m.shardMax = 1
 	}
+	m.readKeys, _ = cfg.Provider.(ReadKeyer)
 	if cfg.PreStateCacheTTL > 0 {
-		m.cache = newSnapshotCache(cfg.PreStateCacheTTL)
+		m.cache = newSnapshotCache(cfg.PreStateCacheTTL, &m.epochs)
 		m.degradeTTL = cfg.DegradeTTL
 		if m.degradeTTL <= 0 {
 			m.degradeTTL = 10 * cfg.PreStateCacheTTL
@@ -792,15 +818,13 @@ func (m *Monitor) checkEager(r *http.Request, cr *compiledRoute, params map[stri
 		if m.failPolicy == FailOpen {
 			// FailOpen: forward unverified rather than amplify the cloud's
 			// flakiness into blocked requests; the gap is recorded.
-			resp, ferr := m.forward.Forward(r, &cr.route, params)
-			mark(obs.StageForward)
+			resp, ferr := m.forwardRequest(r, cr, params, trace)
 			if ferr != nil {
 				return finish(Error, fmt.Sprintf(
 					"pre-state snapshot: %v; forward to cloud: %v", err, ferr)), nil
 			}
 			v.Forwarded = true
 			v.BackendStatus = resp.StatusCode
-			m.forwardedWrite(r.Method, params["project_id"])
 			return finish(Unverified, fmt.Sprintf("pre-state snapshot failed (fail-open): %v", err)), resp
 		}
 		// FailClosed (and Degrade with a cold cache): nothing
@@ -822,16 +846,13 @@ func (m *Monitor) checkEager(r *http.Request, cr *compiledRoute, params map[stri
 		return finish(Blocked, "pre-condition failed; request not forwarded"), nil
 	}
 
-	resp, err := m.forward.Forward(r, &cr.route, params)
-	mark(obs.StageForward)
+	resp, err := m.forwardRequest(r, cr, params, trace)
+	now = time.Now()
 	if err != nil {
 		return finish(Error, fmt.Sprintf("forward to cloud: %v", err)), nil
 	}
 	v.Forwarded = true
 	v.BackendStatus = resp.StatusCode
-	// A forwarded write may change any state the project's contracts
-	// read: drop the project's cached pre-state and tell the fleet hook.
-	m.forwardedWrite(r.Method, params["project_id"])
 
 	if !preOK {
 		// Observe mode with a forbidden request: the cloud must reject it.
@@ -1006,30 +1027,15 @@ func (m *Monitor) record(v Verdict) {
 	}
 }
 
-// forwardedWrite runs the cache-coherence consequences of a forwarded
-// mutation: the project's cached pre-state is dropped and the
-// OnInvalidate hook fires so a fleet can bump the owning instance's
-// generation. Reads are free — they change no state.
-func (m *Monitor) forwardedWrite(method, project string) {
-	if method == http.MethodGet {
-		return
-	}
-	if m.cache != nil {
-		m.cache.invalidateProject(project)
-	}
-	if m.onInvalid != nil {
-		m.onInvalid(project)
-	}
-}
-
-// InvalidateProject bumps the project's pre-state cache generation: every
-// cached snapshot for the project becomes unusable at once. The fleet's
-// invalidation bus calls this on the owning instance when another
-// instance forwarded a write for the project (resize-driven remaps leave
-// such windows); it is a no-op without the pre-state cache.
+// InvalidateProject moves the project's write epoch: every cached
+// pre-state value and every cloud read in flight for the project becomes
+// unusable for later requests at once. The fleet's invalidation bus calls
+// this on the owning instance when another instance forwarded a write for
+// the project (resize-driven remaps leave such windows).
 func (m *Monitor) InvalidateProject(project string) {
+	m.epochs.bump(project)
 	if m.cache != nil {
-		m.cache.invalidateProject(project)
+		m.cache.invalidations.Inc()
 	}
 }
 
@@ -1187,8 +1193,11 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 			"State paths fetched from the provider per monitored request (count histogram: 1 unit = 1 path).",
 			m.pathsFetched)
 		w.Counter("cloudmon_snapshot_coalesced_total",
-			"Pre-state path fetches that joined another request's in-flight cloud read.",
-			float64(m.coalesced.Value()))
+			"State path reads that joined another request's in-flight cloud read, by snapshot phase.",
+			float64(m.coalescedPre.Value()), obs.L("phase", PhasePre))
+		w.Counter("cloudmon_snapshot_coalesced_total",
+			"State path reads that joined another request's in-flight cloud read, by snapshot phase.",
+			float64(m.coalescedPost.Value()), obs.L("phase", PhasePost))
 		w.KeyedCounter("cloudmon_facts_pruned_total",
 			"Clause evaluations decided by compile-time plan facts, by pruning kind.",
 			&m.factsPruned, "kind")
@@ -1220,7 +1229,7 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 			w.Counter("cloudmon_cache_hits_total", "Pre-state cache hits.", float64(cs.Hits))
 			w.Counter("cloudmon_cache_misses_total", "Pre-state cache misses.", float64(cs.Misses))
 			w.Counter("cloudmon_cache_stale_hits_total", "Degrade-path stale cache hits.", float64(cs.StaleHits))
-			w.Counter("cloudmon_cache_invalidations_total", "Project generation bumps from forwarded writes.", float64(cs.Invalidations))
+			w.Counter("cloudmon_cache_invalidations_total", "Forwarded writes and fleet invalidations that moved a project's write epoch.", float64(cs.Invalidations))
 		}
 		if m.audit != nil {
 			var total uint64
@@ -1249,7 +1258,8 @@ func (m *Monitor) ResetLog() {
 	m.transCoverage.Reset()
 	m.tracer.Reset()
 	m.pathsFetched.Reset()
-	m.coalesced.Reset()
+	m.coalescedPre.Reset()
+	m.coalescedPost.Reset()
 	m.fetchRounds.Reset()
 	m.factsPruned.Reset()
 	m.factsMismatch.Reset()
@@ -1268,9 +1278,10 @@ type FetchStats struct {
 	Requests uint64 `json:"requests"`
 	// PathsFetched is the total provider path reads across them.
 	PathsFetched uint64 `json:"paths_fetched"`
-	// Coalesced counts pre-state fetches served by another request's
-	// in-flight read.
-	Coalesced uint64 `json:"coalesced"`
+	// Coalesced counts state reads, pre and post, served by another
+	// request's in-flight read; CoalescedPost is the post-state share.
+	Coalesced     uint64 `json:"coalesced"`
+	CoalescedPost uint64 `json:"coalesced_post"`
 	// Rounds is the total of the verdicts' FetchRounds: provider rounds
 	// that had to wait one after another.
 	Rounds uint64 `json:"rounds"`
@@ -1280,10 +1291,11 @@ type FetchStats struct {
 func (m *Monitor) FetchStats() FetchStats {
 	snap := m.pathsFetched.Snapshot()
 	return FetchStats{
-		Requests:     snap.Count,
-		PathsFetched: uint64(snap.Sum + 0.5),
-		Coalesced:    m.coalesced.Value(),
-		Rounds:       m.fetchRounds.Value(),
+		Requests:      snap.Count,
+		PathsFetched:  uint64(snap.Sum + 0.5),
+		Coalesced:     m.coalescedPre.Value() + m.coalescedPost.Value(),
+		CoalescedPost: m.coalescedPost.Value(),
+		Rounds:        m.fetchRounds.Value(),
 	}
 }
 

@@ -165,7 +165,10 @@ func (p *Provider) RegisterMetrics(reg *obs.Registry) {
 	})
 }
 
-var _ monitor.StateProvider = (*Provider)(nil)
+var (
+	_ monitor.StateProvider = (*Provider)(nil)
+	_ monitor.ReadKeyer     = (*Provider)(nil)
+)
 
 // NewProvider returns a provider for the cloud at baseURL, authenticating
 // with the service account on demand.
@@ -327,6 +330,48 @@ func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.Ma
 
 // DefaultMaxParallel is the default per-snapshot worker-pool size.
 const DefaultMaxParallel = 8
+
+// ReadKey implements monitor.ReadKeyer: it names the REST read resolve
+// issues for path. The service-account reads (project.id, the volume and
+// server lists, the volume quota) depend on the project alone, the status
+// reads on the project and resource id, user.id.groups on the subject
+// token, so requests of different users, or for different volumes of one
+// project, share them. A path that resolves without a GET (a missing id,
+// an unknown path) is keyed by its own name.
+func (p *Provider) ReadKey(ctx *monitor.RequestContext, path string) string {
+	pid := ctx.Params["project_id"]
+	switch path {
+	case "project.id":
+		if pid != "" {
+			return "GET /identity/v3/projects/" + pid
+		}
+	case "project.volumes":
+		if pid != "" {
+			return "GET /volume/v3/" + pid + "/volumes"
+		}
+	case "project.servers":
+		if pid != "" {
+			return "GET /compute/v2.1/" + pid + "/servers"
+		}
+	case "quota_sets.volume":
+		if pid != "" {
+			return "GET /volume/v3/" + pid + "/quota_sets"
+		}
+	case "volume.status":
+		if vid := ctx.Params["volume_id"]; pid != "" && vid != "" {
+			return "GET /volume/v3/" + pid + "/volumes/" + vid
+		}
+	case "server.status":
+		if sid := ctx.Params["server_id"]; pid != "" && sid != "" {
+			return "GET /compute/v2.1/" + pid + "/servers/" + sid
+		}
+	case "user.id.groups":
+		if ctx.Token != "" {
+			return "GET /identity/v3/auth/tokens X-Subject-Token=" + ctx.Token
+		}
+	}
+	return path
+}
 
 // resolve maps one navigation path to a value. Unknown paths and missing
 // resources are OclUndefined, never errors — that is how "GET was not 200"

@@ -32,18 +32,18 @@ cover:
 bench:
 	go test -run XXX -bench . -benchmem .
 
-# E15: the demand-driven evaluation engine vs the eager whole-contract
-# snapshot, with per-op cloud-GET economy (see EXPERIMENTS.md).
+# E15: demand-driven evaluation with per-op cloud-GET economy, in process
+# and at 1 ms simulated RTT (see EXPERIMENTS.md).
 planbench:
 	go test -run XXX -bench BenchmarkEvalPlan -benchmem .
 
-# E16: the lazy engine with compile-time facts vs without (witness skips
-# and static clauses; see EXPERIMENTS.md).
+# E16: the monitor with compile-time facts vs without (witness skips and
+# static clauses; see EXPERIMENTS.md).
 factbench:
 	go test -run XXX -bench BenchmarkEvalPlanFacts -benchmem .
 
-# E17: the compiled closure-chain engine vs the lazy engine and the
-# single-pass tree walk on the in-process OK path (see EXPERIMENTS.md).
+# E17: the compiled closure-chain engine vs the single-pass ocl.Eval tree
+# walk on the in-process OK path (see EXPERIMENTS.md).
 # Results land in BENCH_compiled.json for cross-commit tracking.
 compbench:
 	go test -run XXX -bench BenchmarkCompiledEval -benchmem . \

@@ -5,13 +5,11 @@
 //	E7  BenchmarkOCLEval            formula-size sweep (+ parse)
 //	E8  BenchmarkCodegen            resources-count sweep
 //	E13 BenchmarkMonitorThroughput  concurrent hot path: serial vs
-//	    parallel snapshots vs pre-state cache, in-process and with
-//	    simulated network latency
-//	E15 BenchmarkEvalPlan           demand-driven evaluation vs eager
-//	    whole-contract snapshots, with per-op cloud-GET economy and
-//	    flight coalescing under simulated latency
+//	    pre-state cache, in-process and with simulated network latency
+//	E15 BenchmarkEvalPlan           demand-driven evaluation with per-op
+//	    cloud-GET economy, in process and under simulated latency
 //	E16 BenchmarkEvalPlanFacts      compile-time fact pruning vs the
-//	    no-facts lazy baseline, with per-op clause-demand economy
+//	    no-facts baseline, with per-op clause-demand economy
 //	E17 BenchmarkCompiledEval       closure-chain compiled clauses vs the
 //	    tree-walking reference on the in-process OK path
 //
@@ -20,7 +18,6 @@
 package cloudmon_test
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -233,28 +230,18 @@ func newThroughputDeployment(b testing.TB, delay time.Duration, mutate func(*cor
 }
 
 // BenchmarkMonitorThroughput (E13) drives a concurrent monitored GET
-// workload through each hot-path configuration. The in-process variants
-// measure software overhead under contention (sharded log, precomputed
-// state paths, pre-state cache); the netsim variants add 1ms of simulated
-// network latency per backend request, where fanning the five snapshot
-// reads across the worker pool collapses pre+post snapshot cost from
-// ~10 sequential round trips to ~2-4.
+// workload with and without the pre-state cache. The in-process variants
+// measure software overhead under contention (sharded log, pre-state
+// cache); the netsim variant adds 1ms of simulated network latency per
+// backend request, where the pre-state wave and the post read set the
+// cost.
 func BenchmarkMonitorThroughput(b *testing.B) {
 	variants := []struct {
 		name   string
 		mutate func(*core.Options)
 	}{
 		{"serial", nil},
-		{"parallel-snapshots", func(o *core.Options) {
-			o.ParallelSnapshots = true
-			o.SnapshotWorkers = 5
-		}},
 		{"cached", func(o *core.Options) {
-			o.PreStateCacheTTL = 10 * time.Millisecond
-		}},
-		{"parallel+cached", func(o *core.Options) {
-			o.ParallelSnapshots = true
-			o.SnapshotWorkers = 5
 			o.PreStateCacheTTL = 10 * time.Millisecond
 		}},
 	}
@@ -287,121 +274,84 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 		})
 	}
 
-	// Simulated network latency: the deployment regime the parallel
-	// snapshot fan-out exists for. Sequential client, latency-bound.
-	const delay = time.Millisecond
-	for _, v := range variants[:2] {
-		b.Run("netsim-1ms/"+v.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, delay, v.mutate)
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEvalPlan (E15) compares the demand-driven evaluation engine
-// (compiled plans, per-path fetches, effect-frame post reuse) against the
-// eager whole-contract snapshot, on the read and write paths, in process
-// and under 1ms of simulated network latency per backend round trip. Each
-// sub-benchmark also reports the cloud-read economy as cloudGETs/op — the
-// number the lazy engine exists to shrink; with network latency in the
-// loop, saved GETs convert directly into saved milliseconds.
-func BenchmarkEvalPlan(b *testing.B) {
-	engines := []struct {
-		name string
-		eval monitor.EvalMode
-	}{
-		{"lazy", monitor.EvalLazy},
-		{"eager", monitor.EvalEager},
-	}
-	reportGets := func(b *testing.B, d *benchDeployment, before uint64) {
-		b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(b.N), "cloudGETs/op")
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run("GET/"+eng.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, 0, func(o *core.Options) { o.Eval = eng.eval })
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			b.ReportAllocs()
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportGets(b, d, before)
-		})
-		b.Run("CreateDelete/"+eng.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, 0, func(o *core.Options) { o.Eval = eng.eval })
-			collection := "/projects/" + d.projectID + "/volumes"
-			in := map[string]map[string]any{"volume": {"name": "x", "size": 1}}
-			b.ReportAllocs()
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var out struct {
-					Volume cinder.Volume `json:"volume"`
-				}
-				if _, err := d.monitored.Do(http.MethodPost, collection, in, &out, nil); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := d.monitored.Do(http.MethodDelete, collection+"/"+out.Volume.ID, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			// Two monitored requests per iteration.
-			b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(2*b.N), "cloudGETs/req")
-		})
-		b.Run("netsim-1ms/GET/"+eng.name, func(b *testing.B) {
-			d := newThroughputDeployment(b, time.Millisecond, func(o *core.Options) { o.Eval = eng.eval })
-			path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-			before := d.sys.Provider.Stats().Gets
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportGets(b, d, before)
-		})
-	}
-	// Concurrent lazy GETs against a slow backend: identical in-flight
-	// path fetches coalesce onto one leader, so the per-op GET count
-	// drops below the serial figure as parallelism rises.
-	b.Run("netsim-1ms/GET/lazy-parallel", func(b *testing.B) {
-		d := newThroughputDeployment(b, time.Millisecond, func(o *core.Options) { o.Eval = monitor.EvalLazy })
+	// Simulated network latency: sequential client, latency-bound.
+	b.Run("netsim-1ms/serial", func(b *testing.B) {
+		d := newThroughputDeployment(b, time.Millisecond, nil)
 		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
-		// The workload is latency-bound, not CPU-bound: pin 8 client
-		// goroutines per proc so in-flight fetches overlap (and so
-		// coalesce) even on a single-core runner.
-		b.SetParallelism(8)
-		before := d.sys.Provider.Stats().Gets
 		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
+		for i := 0; i < b.N; i++ {
+			if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.StopTimer()
-		reportGets(b, d, before)
-		fs := d.sys.Monitor.FetchStats()
-		b.ReportMetric(float64(fs.Coalesced)/float64(b.N), "coalesced/op")
+		}
 	})
 }
 
-// BenchmarkEvalPlanFacts (E16) compares the lazy engine with compile-time
-// facts (the default) against the same engine with facts disabled — the
+// BenchmarkEvalPlan (E15) measures demand-driven checking (compiled
+// plans, per-path fetches, effect-frame post reuse) on the read and write
+// paths, in process and under 1ms of simulated network latency per
+// backend round trip. Each sub-benchmark reports the cloud-read economy
+// as cloudGETs/op (cloudGETs/req for the two-request CreateDelete loop);
+// whole-contract snapshotting reads 2 × StatePaths per request — 8 for
+// GET, 10 for DELETE. With network latency in the loop, saved GETs
+// convert directly into saved milliseconds.
+func BenchmarkEvalPlan(b *testing.B) {
+	reportGets := func(b *testing.B, d *benchDeployment, before uint64) {
+		b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(b.N), "cloudGETs/op")
+	}
+	b.Run("GET", func(b *testing.B) {
+		d := newThroughputDeployment(b, 0, nil)
+		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
+		b.ReportAllocs()
+		before := d.sys.Provider.Stats().Gets
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		reportGets(b, d, before)
+	})
+	b.Run("CreateDelete", func(b *testing.B) {
+		d := newThroughputDeployment(b, 0, nil)
+		collection := "/projects/" + d.projectID + "/volumes"
+		in := map[string]map[string]any{"volume": {"name": "x", "size": 1}}
+		b.ReportAllocs()
+		before := d.sys.Provider.Stats().Gets
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var out struct {
+				Volume cinder.Volume `json:"volume"`
+			}
+			if _, err := d.monitored.Do(http.MethodPost, collection, in, &out, nil); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.monitored.Do(http.MethodDelete, collection+"/"+out.Volume.ID, nil, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		// Two monitored requests per iteration.
+		b.ReportMetric(float64(d.sys.Provider.Stats().Gets-before)/float64(2*b.N), "cloudGETs/req")
+	})
+	b.Run("netsim-1ms/GET", func(b *testing.B) {
+		d := newThroughputDeployment(b, time.Millisecond, nil)
+		path := "/projects/" + d.projectID + "/volumes/" + d.volumeID
+		before := d.sys.Provider.Stats().Gets
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.monitored.Do(http.MethodGet, path, nil, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		reportGets(b, d, before)
+	})
+}
+
+// BenchmarkEvalPlanFacts (E16) compares the monitor with compile-time
+// facts (the default) against the same monitor with facts disabled — the
 // PR-5 baseline. The pruning shows up as fewer per-clause path demands
 // (witness skips decide excluded disjuncts with one element), reported as
 // demands/op from the monitor's verdict log; cloud GETs/op stay identical
@@ -658,7 +608,7 @@ func BenchmarkOCLEvalPaperDelete(b *testing.B) {
 }
 
 // BenchmarkCompiledEval (E17) pits the compiled closure-chain engine
-// against the lazy engine's tree walk on the in-process OK path: the full
+// against ocl.Eval's tree walk on the in-process OK path: the full
 // pre-check of the paper's DELETE(volume) contract — clause programs in
 // plan order to the first true disjunct — over an already-fetched state.
 // The compiled arm resets and refills a pooled slot frame every
@@ -737,46 +687,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 		}
 		return false
 	}
-	// preCheckLazy reproduces monitor.EvalLazy's per-request evaluation
-	// machinery — a fresh demand-signalling environment, the
-	// fetch-and-re-evaluate loop (a clause restarts after every path it
-	// demands), and per-clause demand accounting — with fetches served
-	// from the already-available state. This measures the engine the
-	// compiled programs replace; the tree-walk arm above is the
-	// single-pass floor no demand-driven evaluator can reach.
-	preCheckLazy := func() bool {
-		env := &benchLazyEnv{
-			src:      pre,
-			vals:     make(ocl.MapEnv),
-			have:     make(map[string]bool),
-			demanded: make(map[string]bool, 8),
-		}
-		ctx := ocl.Context{Cur: env}
-		for _, pc := range plan.Pre {
-			clear(env.demanded)
-			var v ocl.Value
-			for {
-				var err error
-				v, err = ocl.Eval(c.Cases[pc.Index].Pre, ctx)
-				if err == nil {
-					break
-				}
-				var uf *benchUnfetched
-				if !errors.As(err, &uf) {
-					b.Fatal(err)
-				}
-				val, ok := pre[uf.path]
-				env.have[uf.path] = true
-				if ok {
-					env.vals[uf.path] = val
-				}
-			}
-			if ok, defined, isBool := ocl.KernelBool(v); isBool && defined && ok {
-				return true
-			}
-		}
-		return false
-	}
 	b.Run("pre/compiled", func(b *testing.B) {
 		fr := comp.NewFrame()
 		defer comp.Release(fr)
@@ -787,16 +697,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			preCheckCompiled(fr)
-		}
-	})
-	b.Run("pre/lazy-engine", func(b *testing.B) {
-		if !preCheckLazy() {
-			b.Fatal("pre-check did not pass")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			preCheckLazy()
 		}
 	})
 	b.Run("pre/tree-walk", func(b *testing.B) {
@@ -863,37 +763,6 @@ func BenchmarkCompiledEval(b *testing.B) {
 		}
 	})
 }
-
-// benchLazyEnv mirrors the lazy engine's demand-signalling environment
-// for the E17 lazy arm: a fetched path resolves from vals (absent paths
-// to Undefined), an unfetched one aborts evaluation with benchUnfetched
-// so the driver can fetch it and re-evaluate — the monitor's
-// lazyEnv/evalDemand discipline against an in-process state source.
-type benchLazyEnv struct {
-	src      ocl.MapEnv
-	vals     ocl.MapEnv
-	have     map[string]bool
-	demanded map[string]bool
-}
-
-// Resolve implements ocl.Environment.
-func (e *benchLazyEnv) Resolve(path []string) (ocl.Value, error) {
-	key := strings.Join(path, ".")
-	if e.have[key] {
-		if e.demanded != nil {
-			e.demanded[key] = true
-		}
-		if v, ok := e.vals[key]; ok {
-			return v, nil
-		}
-		return ocl.Undefined(), nil
-	}
-	return ocl.Value{}, &benchUnfetched{path: key}
-}
-
-type benchUnfetched struct{ path string }
-
-func (e *benchUnfetched) Error() string { return "bench: state path " + e.path + " not fetched" }
 
 // syntheticResourceModel builds a resource model with n normal resources
 // hanging off one collection.

@@ -75,8 +75,7 @@ func run(args []string) error {
 	modeName := fs.String("mode", "enforce", "monitor mode: enforce | observe")
 	inspectAddr := fs.String("inspect-addr", "", "optional listen address for the verdict/coverage API (e.g. 127.0.0.1:8001)")
 	levelName := fs.String("level", "full", "contract check level: full | pre-only")
-	evalName := fs.String("eval", "compiled", "contract evaluation engine: compiled (closure-chain programs) | lazy (demand-driven tree walk) | eager (whole-contract snapshots)")
-	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning in the lazy engine (A/B baseline)")
+	noFacts := fs.Bool("no-facts", false, "disable compile-time fact pruning (A/B baseline)")
 	postName := fs.String("post", "sync", "post-verification mode: sync | async (defer post-checks to a bounded worker queue)")
 	postQueue := fs.Int("post-queue", 0, "async post queue capacity (0 = default)")
 	postWorkers := fs.Int("post-workers", 0, "async post worker pool size (0 = default)")
@@ -85,8 +84,6 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "optional listen address for the Prometheus-text /metrics endpoint (e.g. 127.0.0.1:8002)")
 	auditDir := fs.String("audit-dir", "", "directory for the append-only audit trail (violations and Unverified outcomes)")
 	auditMaxBytes := fs.Int64("audit-max-bytes", 0, "rotate audit segments at this size (0 = 8 MiB default)")
-	parallelSnapshots := fs.Bool("parallel-snapshots", false,
-		"eager engine only: resolve each state snapshot's paths concurrently (the compiled and lazy engines overlap a clause's reads themselves)")
 	secReqs := fs.String("secreqs", "", "comma-separated SecReq tags to slice the model to (e.g. 1.3,1.4)")
 	methods := fs.String("methods", "", "comma-separated HTTP methods to slice the model to (e.g. DELETE,PUT)")
 	svcUser := fs.String("svc-user", "cm-svc", "monitor service-account user")
@@ -138,10 +135,6 @@ func run(args []string) error {
 		level = monitor.CheckPreOnly
 	default:
 		return fmt.Errorf("unknown level %q (want full or pre-only)", *levelName)
-	}
-	eval, err := monitor.ParseEvalMode(*evalName)
-	if err != nil {
-		return err
 	}
 	postMode, err := monitor.ParsePostMode(*postName)
 	if err != nil {
@@ -199,18 +192,16 @@ func run(args []string) error {
 		ServiceAccount: osbinding.ServiceAccount{
 			User: *svcUser, Password: *svcPass, ProjectID: *project,
 		},
-		InstanceID:        *instance,
-		Mode:              mode,
-		Level:             level,
-		Eval:              eval,
-		NoFacts:           *noFacts,
-		Post:              postMode,
-		PostQueueCap:      *postQueue,
-		PostWorkers:       *postWorkers,
-		PostBackpressure:  backpressure,
-		OnVerdict:         onVerdict,
-		ParallelSnapshots: *parallelSnapshots,
-		Audit:             audit,
+		InstanceID:       *instance,
+		Mode:             mode,
+		Level:            level,
+		NoFacts:          *noFacts,
+		Post:             postMode,
+		PostQueueCap:     *postQueue,
+		PostWorkers:      *postWorkers,
+		PostBackpressure: backpressure,
+		OnVerdict:        onVerdict,
+		Audit:            audit,
 	})
 	if err != nil {
 		return err
@@ -218,7 +209,7 @@ func run(args []string) error {
 	// Drain deferred post-checks before the audit log closes.
 	defer sys.Monitor.Close()
 
-	fmt.Printf("cloud monitor (%s mode, %s eval) on %s, proxying %s\n", mode, eval, *addr, *cloudURL)
+	fmt.Printf("cloud monitor (%s mode, %s check) on %s, proxying %s\n", mode, level, *addr, *cloudURL)
 	if *instance != "" {
 		fmt.Printf("  fleet instance %s (audit stamp, metric label, invalidation bus on the inspect listener)\n", *instance)
 	}

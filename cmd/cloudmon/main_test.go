@@ -19,6 +19,10 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// There is one evaluation engine, so no -eval flag.
+	if err := run([]string{"-project", "p1", "-eval", "compiled"}); err == nil {
+		t.Error("-eval accepted")
+	}
 	// Unknown check level is rejected.
 	if err := run([]string{"-project", "p1", "-level", "bogus"}); err == nil {
 		t.Error("bogus level accepted")

@@ -12,7 +12,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -511,7 +513,10 @@ var benchOut = flag.String("bench-out", "", "write E20's results to this file (m
 // budget and the cloud round-trip time. The same cinder-mixed workload
 // runs against fleets of N ∈ {1, 2, 4} instances behind the
 // consistent-hash front, every instance throttled to 2 backend
-// connections at 1 ms simulated RTT. Aggregate throughput must scale —
+// connections at 3 ms simulated RTT. The RTT is long enough that the run
+// is bound by the connection budget rather than by spare CPU on a small
+// machine: each N logs the process's CPU utilisation (getrusage CPU time
+// over wall time × cores) to show which. Aggregate throughput must scale —
 // the gate is ≥ 2.5× at N=4 over N=1. With -bench-out the per-N results
 // are written to that file, so `make fleetbench` tracks the trajectory
 // in BENCH_fleet.json across commits; a plain `go test` writes nothing.
@@ -523,18 +528,28 @@ func TestExperimentE20FleetScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Requests, sc.Warmup, sc.Clients, sc.Prepopulate = 2000, 160, 128, 4
+	sc.Requests, sc.Warmup, sc.Clients, sc.Prepopulate = 600, 48, 128, 4
 
 	const (
 		tenants      = 128
 		connsPerInst = 2
-		rtt          = time.Millisecond
+		rtt          = 3 * time.Millisecond
 	)
 	type result struct {
 		Instances     int     `json:"instances"`
 		Requests      int     `json:"requests"`
 		ThroughputRPS float64 `json:"throughput_rps"`
 		Speedup       float64 `json:"speedup_vs_n1"`
+		// CPUUtil is the process's CPU time over wall time × cores for
+		// the run: near 1 means the run was bound by spare CPU.
+		CPUUtil float64 `json:"cpu_util"`
+	}
+	cpuTime := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 	}
 	var results []result
 	for _, n := range []int{1, 2, 4} {
@@ -544,7 +559,9 @@ func TestExperimentE20FleetScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cpu0, wall0 := cpuTime(), time.Now()
 		rep, runErr := loadgen.Run(sc, fdep.Target)
+		util := float64(cpuTime()-cpu0) / (float64(time.Since(wall0)) * float64(runtime.NumCPU()))
 		fdep.Close()
 		if runErr != nil {
 			t.Fatal(runErr)
@@ -552,9 +569,9 @@ func TestExperimentE20FleetScaling(t *testing.T) {
 		if rep.Errors != 0 {
 			t.Fatalf("E20 N=%d: %d request errors", n, rep.Errors)
 		}
-		results = append(results, result{Instances: n, Requests: rep.Requests, ThroughputRPS: rep.Throughput})
-		t.Logf("E20 | N=%d  conns/instance=%d  rtt=%s: %7.0f req/s",
-			n, connsPerInst, rtt, rep.Throughput)
+		results = append(results, result{Instances: n, Requests: rep.Requests, ThroughputRPS: rep.Throughput, CPUUtil: util})
+		t.Logf("E20 | N=%d  conns/instance=%d  rtt=%s: %7.0f req/s  cpu %3.0f%% of %d cores",
+			n, connsPerInst, rtt, rep.Throughput, 100*util, runtime.NumCPU())
 	}
 	base := results[0].ThroughputRPS
 	for i := range results {

@@ -112,9 +112,9 @@ func kinds(e ocl.Expr, bound map[string]int) KindSet {
 // NeverErrors reports whether evaluating the expression cannot raise an
 // evaluation error in any environment. It is the gate for treating a
 // clause element as safe to leave unevaluated: if every element before a
-// refuted witness is error-free, skipping them cannot hide an error the
-// eager engine would have surfaced. Fetch failures are a separate class —
-// demand-driven evaluation already fetches less than the eager engine, so
+// refuted witness is error-free, skipping them cannot hide an error full
+// evaluation would have surfaced. Fetch failures are a separate class —
+// demand-driven evaluation already fetches less than full snapshots, so
 // they are outside this judgement (see DESIGN.md §3.5).
 //
 // pre()/@pre references are conservatively erroring: pre-conditions are

@@ -9,7 +9,7 @@
 // Soundness is not argued node-by-node here: every coercion rule is a
 // call into the ocl evaluation kernel (ocl/kernel.go), the same
 // functions the tree-walking evaluator runs, and the equivalence of the
-// composition is enforced by the three-way differential suite, the
+// composition is enforced by the monitor's differential suite, the
 // FuzzCompiledEval harness and the seeded compiler mutants below.
 package contract
 

@@ -34,8 +34,8 @@ import (
 type PreFact struct {
 	// Folded is the disjunct with environment-independent subexpressions
 	// constant-folded. Evaluating it is value- and error-equivalent to
-	// evaluating the original for every state; the lazy engine evaluates
-	// this form.
+	// evaluating the original for every state; the compiled programs are
+	// built from this form.
 	Folded ocl.Expr
 	// Rewritten marks that folding changed the rendered formula.
 	Rewritten bool
@@ -199,7 +199,7 @@ func staticValue(folded ocl.Expr) (*ocl.Value, string) {
 // for a witness refuted by the provider. The scan may only walk past
 // elements that are error-free in every state or literally shared with
 // the (runtime-true, hence error-free here) provider — otherwise skipping
-// them could hide an evaluation error the eager engine surfaces.
+// them could hide an evaluation error full evaluation surfaces.
 func findExclusion(provider int, target []ocl.Expr, provSet map[string]bool, provAtoms []symbolic.Atom) (Exclusion, bool) {
 	for m, el := range target {
 		if a, ok := symbolic.AtomOf(el); ok {
@@ -328,7 +328,7 @@ func (f *Facts) Check(c *Contract) error {
 	return nil
 }
 
-// deadPaths lists the plan's eager paths that no clause can demand once
+// deadPaths lists the plan's paths that no clause can demand once
 // static clauses are pruned.
 func deadPaths(f *Facts, p *Plan) []DeadPath {
 	demand := make(map[string]bool)
@@ -347,8 +347,7 @@ func deadPaths(f *Facts, p *Plan) []DeadPath {
 			demand[path] = true
 		}
 	}
-	// The universe is the union of every clause's declared paths (not
-	// EagerPaths, which is only populated for Generate-built contracts).
+	// The universe is the union of every clause's declared paths.
 	var universe []string
 	seen := make(map[string]bool)
 	add := func(paths []string) {

@@ -161,7 +161,7 @@ func TestFactsSubsumption(t *testing.T) {
 
 // TestFactsWitnessBlockedByErroringPrefix: an element that may error and
 // is not shared with the provider blocks the witness scan — skipping past
-// it could hide an evaluation error the eager engine reports.
+// it could hide an evaluation error full evaluation reports.
 func TestFactsWitnessBlockedByErroringPrefix(t *testing.T) {
 	c := &Contract{
 		Cases: []Case{

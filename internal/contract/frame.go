@@ -13,7 +13,7 @@ import (
 // state-path slot that has not been filled this evaluation. Demands are
 // preallocated per slot at compile time, so signalling one costs nothing;
 // the demand loop (internal/monitor) fetches the path, fills the slot and
-// re-runs the program — the mirror of the lazy engine's unfetchedError.
+// re-runs the program.
 type Demand struct {
 	// Path is the dotted state path the program demanded.
 	Path string
@@ -124,9 +124,8 @@ func (fr *Frame) BeginPost() {
 }
 
 // BeginClause opens a demand-accounting window; TakeDemands closes it and
-// reports the distinct slot reads since — the compiled engine's
-// equivalent of lazyEnv.beginClause/takeDemands, feeding the same
-// Verdict.DemandedPaths measure.
+// reports the distinct slot reads since — the Verdict.DemandedPaths
+// measure.
 func (fr *Frame) BeginClause() {
 	fr.clauseGen++
 	fr.demanded = 0

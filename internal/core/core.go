@@ -39,13 +39,9 @@ type Options struct {
 	// Level defaults to monitor.CheckFull; CheckPreOnly ablates the
 	// post-condition verification.
 	Level monitor.CheckLevel
-	// Eval selects the evaluation engine (defaults to
-	// monitor.EvalCompiled; monitor.EvalLazy re-walks the OCL trees,
-	// monitor.EvalEager restores whole-contract snapshots).
-	Eval monitor.EvalMode
-	// NoFacts disables compile-time fact pruning in the lazy engine
-	// (static clause assignment and witness-based sibling skips) — the
-	// A/B knob behind EXPERIMENTS.md E16.
+	// NoFacts disables compile-time fact pruning (static clause
+	// assignment and witness-based sibling skips) — the A/B knob behind
+	// EXPERIMENTS.md E16.
 	NoFacts bool
 	// NoPostReuse disables the post-check's effect-frame reuse: every
 	// contract path is re-fetched after the forward (the full re-check
@@ -78,14 +74,6 @@ type Options struct {
 	// OnVerdict, if set, receives every verdict (e.g. an
 	// monitor.AuditWriter's Record method).
 	OnVerdict func(monitor.Verdict)
-	// ParallelSnapshots resolves the paths of one snapshot call
-	// concurrently. It applies to the eager engine only: the demand
-	// engines overlap a clause's reads themselves (see
-	// osbinding.Provider.Parallel).
-	ParallelSnapshots bool
-	// SnapshotWorkers bounds the per-snapshot worker pool when
-	// ParallelSnapshots is set (0 = osbinding.DefaultMaxParallel).
-	SnapshotWorkers int
 	// PreStateCacheTTL, when positive, enables the monitor's short-TTL
 	// pre-state read cache (see monitor.Config.PreStateCacheTTL).
 	PreStateCacheTTL time.Duration
@@ -149,8 +137,6 @@ func Build(opts Options) (*System, error) {
 		// The provider's embedded client shares the HTTP client.
 		provider = osbinding.NewProviderWithClient(opts.CloudURL, opts.ServiceAccount, opts.HTTPClient)
 	}
-	provider.Parallel = opts.ParallelSnapshots
-	provider.MaxParallel = opts.SnapshotWorkers
 	provider.Retry = opts.Retry
 	if opts.CloudTimeout > 0 && provider.Retry.PerAttemptTimeout <= 0 {
 		provider.Retry.PerAttemptTimeout = opts.CloudTimeout
@@ -169,7 +155,6 @@ func Build(opts Options) (*System, error) {
 		},
 		Mode:             opts.Mode,
 		Level:            opts.Level,
-		Eval:             opts.Eval,
 		NoFacts:          opts.NoFacts,
 		NoPostReuse:      opts.NoPostReuse,
 		FailPolicy:       opts.FailPolicy,

@@ -13,17 +13,15 @@ func Analyzers() []*Analyzer {
 }
 
 // hotFuncs names the per-request hot path, per package: the monitor's
-// check dispatch and the demand-driven evaluators it re-enters once per
-// clause, and the compiled engine's slot accessors and program entry —
-// the functions every fused closure funnels through, where a stray
-// allocation multiplies by the atom count. Everything reachable per
-// request but outside these (snapshotting, forwarding, verdict
-// recording) already allocates by design.
+// demand loop, re-entered once per clause demand, and the compiled
+// engine's slot accessors and program entry — the functions every fused
+// closure funnels through, where a stray allocation multiplies by the
+// atom count. Everything reachable per request but outside these
+// (snapshotting, forwarding, verdict recording) already allocates by
+// design.
 var hotFuncs = map[string]map[string]bool{
 	"monitor": {
-		"(*Monitor).check": true,
-		"evalDemand":       true,
-		"evalProgram":      true,
+		"evalProgram": true,
 	},
 	"contract": {
 		"(*Frame).loadCur":    true,
@@ -38,7 +36,7 @@ var hotFuncs = map[string]map[string]bool{
 
 // HotPath forbids wall-clock reads, string formatting, and map
 // allocation inside the monitor's hot-path functions. Each of those
-// showed up in profiles before the lazy engine's rewrite; the rule keeps
+// showed up in profiles before the demand-driven rewrite; the rule keeps
 // them from creeping back.
 func HotPath() *Analyzer {
 	return &Analyzer{

@@ -47,22 +47,17 @@ import (
 	"time"
 )
 
-type Monitor struct{}
-
-func (m *Monitor) check() {
+func evalProgram() {
 	_ = time.Now()
 	_ = fmt.Sprintf("%d", 1)
 	_ = make(map[string]bool)
-}
-
-func evalDemand() {
 	_ = map[string]int{"a": 1}
 }
 `)
-	wantFinding(t, findings, "hotpath", "(*Monitor).check calls time.Now")
-	wantFinding(t, findings, "hotpath", "(*Monitor).check calls fmt.Sprintf")
-	wantFinding(t, findings, "hotpath", "(*Monitor).check allocates a map")
-	wantFinding(t, findings, "hotpath", "evalDemand allocates a map literal")
+	wantFinding(t, findings, "hotpath", "evalProgram calls time.Now")
+	wantFinding(t, findings, "hotpath", "evalProgram calls fmt.Sprintf")
+	wantFinding(t, findings, "hotpath", "evalProgram allocates a map")
+	wantFinding(t, findings, "hotpath", "evalProgram allocates a map literal")
 	if len(findings) != 4 {
 		t.Fatalf("got %d findings, want 4: %v", len(findings), findings)
 	}
@@ -102,12 +97,12 @@ type Monitor struct{}
 `); len(f) != 0 {
 		t.Fatalf("cold function flagged: %v", f)
 	}
-	// A different package named check/evalDemand is out of scope.
+	// A different package's evalProgram is out of scope.
 	if f := lintSrc(t, `package other
 
 import "time"
 
-func evalDemand() { _ = time.Now() }
+func evalProgram() { _ = time.Now() }
 `); len(f) != 0 {
 		t.Fatalf("other package flagged: %v", f)
 	}

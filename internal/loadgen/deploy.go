@@ -23,13 +23,8 @@ type DeployOptions struct {
 	Mode monitor.Mode
 	// Level defaults to monitor.CheckFull.
 	Level monitor.CheckLevel
-	// Eval selects the evaluation engine (default monitor.EvalCompiled;
-	// monitor.EvalLazy re-walks the OCL trees, monitor.EvalEager restores
-	// whole-contract snapshots — the A/B knobs behind EXPERIMENTS.md
-	// E15/E17).
-	Eval monitor.EvalMode
-	// NoFacts disables the lazy engine's compile-time fact pruning (the
-	// A/B knob behind EXPERIMENTS.md E16).
+	// NoFacts disables the monitor's compile-time fact pruning (the A/B
+	// knob behind EXPERIMENTS.md E16).
 	NoFacts bool
 	// FailPolicy decides the monitor's verdict when a snapshot fails
 	// (default monitor.FailClosed; Degrade needs PreStateCacheTTL).
@@ -42,11 +37,6 @@ type DeployOptions struct {
 	PostQueueCap     int
 	PostWorkers      int
 	PostBackpressure monitor.BackpressurePolicy
-	// ParallelSnapshots enables the provider's bounded fan-out (eager
-	// engine only; see core.Options.ParallelSnapshots).
-	ParallelSnapshots bool
-	// SnapshotWorkers bounds the fan-out pool (0 = default).
-	SnapshotWorkers int
 	// PreStateCacheTTL enables the monitor's pre-state read cache.
 	PreStateCacheTTL time.Duration
 	// DegradeTTL bounds the Degrade policy's stale-cache window (0 =
@@ -156,25 +146,22 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 		ServiceAccount: osbinding.ServiceAccount{
 			User: "cm-svc", Password: "pw", ProjectID: seed.ProjectID,
 		},
-		Mode:              opts.Mode,
-		Level:             opts.Level,
-		Eval:              opts.Eval,
-		NoFacts:           opts.NoFacts,
-		FailPolicy:        opts.FailPolicy,
-		Post:              opts.Post,
-		PostQueueCap:      opts.PostQueueCap,
-		PostWorkers:       opts.PostWorkers,
-		PostBackpressure:  opts.PostBackpressure,
-		CloudTimeout:      opts.CloudTimeout,
-		Retry:             opts.Retry,
-		Breaker:           opts.Breaker,
-		ParallelSnapshots: opts.ParallelSnapshots,
-		SnapshotWorkers:   opts.SnapshotWorkers,
-		PreStateCacheTTL:  opts.PreStateCacheTTL,
-		DegradeTTL:        opts.DegradeTTL,
-		MaxLog:            opts.MaxLog,
-		HTTPClient:        monitorHTTP,
-		Audit:             audit,
+		Mode:             opts.Mode,
+		Level:            opts.Level,
+		NoFacts:          opts.NoFacts,
+		FailPolicy:       opts.FailPolicy,
+		Post:             opts.Post,
+		PostQueueCap:     opts.PostQueueCap,
+		PostWorkers:      opts.PostWorkers,
+		PostBackpressure: opts.PostBackpressure,
+		CloudTimeout:     opts.CloudTimeout,
+		Retry:            opts.Retry,
+		Breaker:          opts.Breaker,
+		PreStateCacheTTL: opts.PreStateCacheTTL,
+		DegradeTTL:       opts.DegradeTTL,
+		MaxLog:           opts.MaxLog,
+		HTTPClient:       monitorHTTP,
+		Audit:            audit,
 	})
 	if err != nil {
 		if audit != nil {

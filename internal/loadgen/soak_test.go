@@ -148,8 +148,8 @@ func checkVerdictInvariants(t *testing.T, log []monitor.Verdict, mode monitor.Mo
 
 // runSoak deploys in process, hammers the monitor with ≥32 concurrent
 // clients, and checks every recorded verdict. Run under -race this is the
-// concurrency proof for the sharded log, the snapshot fan-out and the
-// pre-state cache.
+// concurrency proof for the sharded log, the pre-state waves, shared reads
+// and the pre-state cache.
 func runSoak(t *testing.T, opts DeployOptions, mode monitor.Mode) *Deployment {
 	t.Helper()
 	clients, requests := 32, 4000
@@ -189,7 +189,7 @@ func runSoak(t *testing.T, opts DeployOptions, mode monitor.Mode) *Deployment {
 }
 
 // TestSoakEnforce is the satellite -race soak: 32 concurrent clients, all
-// verdict classes, serial snapshots.
+// verdict classes.
 func TestSoakEnforce(t *testing.T) {
 	runSoak(t, DeployOptions{}, monitor.Enforce)
 }
@@ -199,13 +199,10 @@ func TestSoakObserve(t *testing.T) {
 	runSoak(t, DeployOptions{}, monitor.Observe)
 }
 
-// TestSoakHardened repeats the soak with every hot-path optimisation
-// enabled at once: bounded parallel snapshots plus the pre-state cache.
+// TestSoakHardened repeats the soak with the pre-state cache enabled.
 func TestSoakHardened(t *testing.T) {
 	runSoak(t, DeployOptions{
-		ParallelSnapshots: true,
-		SnapshotWorkers:   4,
-		PreStateCacheTTL:  25 * time.Millisecond,
+		PreStateCacheTTL: 25 * time.Millisecond,
 	}, monitor.Enforce)
 }
 
@@ -319,7 +316,7 @@ func TestSoakChaosAsyncShed(t *testing.T) {
 
 // TestSoakChaosDegrade adds the stale-cache fallback on top of chaos: the
 // pre-state cache both serves the degrade path and races generation
-// invalidation against the fault-ridden snapshot fan-out.
+// invalidation against fault-ridden pre-state waves.
 func TestSoakChaosDegrade(t *testing.T) {
 	opts := chaosOpts(t, monitor.Degrade)
 	opts.PreStateCacheTTL = 25 * time.Millisecond

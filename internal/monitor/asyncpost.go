@@ -108,7 +108,7 @@ type asyncPost struct {
 	mu     sync.RWMutex
 	closed atomic.Bool
 	// pending counts captures created but not yet recorded. It is
-	// incremented the moment checkLazy defers a verdict — before the
+	// incremented the moment check defers a verdict — before the
 	// response is written — so the write fence and DrainPost see every
 	// outstanding capture, and decremented only after the verdict (verified
 	// or shed) is in the log, the counters and the audit trail.

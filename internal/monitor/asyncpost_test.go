@@ -36,11 +36,10 @@ func (p *slowPostProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.Ma
 	return out, nil
 }
 
-// newAsyncMonitor builds a compiled monitor with the async post pipeline
-// and the given knobs over the standard test routes.
+// newAsyncMonitor builds a monitor with the async post pipeline and the
+// given knobs over the standard test routes.
 func newAsyncMonitor(t *testing.T, cfg Config) *Monitor {
 	t.Helper()
-	cfg.Eval = EvalCompiled
 	cfg.Post = PostAsync
 	if cfg.Mode == 0 {
 		cfg.Mode = Enforce

@@ -173,69 +173,3 @@ func (c *snapshotCache) getStale(path, token, paramsKey, project string, maxAge 
 	c.staleHits.Inc()
 	return e.val, e.present, true
 }
-
-// cachedPre serves the full pre-state from the cache alone — the Degrade
-// fail policy's fallback when the live snapshot fails. Entries may be
-// older than the read-cache TTL (a live snapshot would otherwise have
-// succeeded) but must be younger than the degrade window and of the
-// project's current write epoch. Every path must be served; one miss and
-// the fallback is refused (a partial pre-state would evaluate formulas
-// over silently-undefined values).
-func (m *Monitor) cachedPre(reqCtx *RequestContext, paths []string) (ocl.MapEnv, bool) {
-	if m.cache == nil {
-		return nil, false
-	}
-	project := reqCtx.Params["project_id"]
-	pk := paramsCacheKey(reqCtx.Params)
-	env := make(ocl.MapEnv, len(paths))
-	for _, p := range paths {
-		v, present, ok := m.cache.getStale(p, reqCtx.Token, pk, project, m.degradeTTL)
-		if !ok {
-			return nil, false
-		}
-		if present {
-			env[p] = v
-		}
-	}
-	return env, true
-}
-
-// preSnapshot resolves the pre-state, serving paths from the cache when
-// enabled and fetching only the misses from the provider. The second
-// return is the number of paths actually fetched from the provider.
-func (m *Monitor) preSnapshot(reqCtx *RequestContext, paths []string) (ocl.MapEnv, int, error) {
-	if m.cache == nil {
-		env, err := m.provider.Snapshot(reqCtx, paths)
-		return env, len(paths), err
-	}
-	project := reqCtx.Params["project_id"]
-	pk := paramsCacheKey(reqCtx.Params)
-	env := make(ocl.MapEnv, len(paths))
-	var missing []string
-	for _, p := range paths {
-		v, present, ok := m.cache.get(p, reqCtx.Token, pk, project)
-		if !ok {
-			missing = append(missing, p)
-			continue
-		}
-		if present {
-			env[p] = v
-		}
-	}
-	if len(missing) == 0 {
-		return env, 0, nil
-	}
-	gen := m.epochs.current(project)
-	fetched, err := m.provider.Snapshot(reqCtx, missing)
-	if err != nil {
-		return nil, len(missing), err
-	}
-	for _, p := range missing {
-		v, present := fetched[p]
-		if present {
-			env[p] = v
-		}
-		m.cache.put(p, reqCtx.Token, pk, project, v, present, gen)
-	}
-	return env, len(missing), nil
-}

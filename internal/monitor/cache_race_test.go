@@ -76,12 +76,16 @@ func TestCacheGenerationRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				floor := progress.Load()
-				env, _, err := m.preSnapshot(reqCtx, paths)
-				if err != nil {
+				// One pre-state read as a GET check makes it: cache
+				// first, then a shared provider read.
+				f := &lazyFetcher{m: m, reqCtx: reqCtx, project: "p1", join: true,
+					pk: paramsCacheKey(reqCtx.Params), wave: paths}
+				env := newLazyEnv()
+				if err := f.fetchPre(env, paths[0]); err != nil {
 					errs <- "snapshot error: " + err.Error()
 					return
 				}
-				v, ok := env["quota_sets.volume"]
+				v, ok := env.value(paths[0])
 				if !ok {
 					errs <- "snapshot missing path"
 					return

@@ -13,19 +13,21 @@ import (
 	"cloudmon/internal/uml"
 )
 
-// countingProvider serves a fixed env and counts how many paths it was
-// asked to resolve.
+// countingProvider serves a fixed env and counts the paths it was asked
+// to resolve, per snapshot phase.
 type countingProvider struct {
-	mu    sync.Mutex
-	env   ocl.MapEnv
-	paths int
-	calls int
+	mu        sync.Mutex
+	env       ocl.MapEnv
+	pre, post int
 }
 
-func (p *countingProvider) Snapshot(_ *RequestContext, paths []string) (ocl.MapEnv, error) {
+func (p *countingProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.MapEnv, error) {
 	p.mu.Lock()
-	p.calls++
-	p.paths += len(paths)
+	if ctx.Phase == PhasePre {
+		p.pre += len(paths)
+	} else {
+		p.post += len(paths)
+	}
 	p.mu.Unlock()
 	out := make(ocl.MapEnv, len(paths))
 	for _, path := range paths {
@@ -36,10 +38,11 @@ func (p *countingProvider) Snapshot(_ *RequestContext, paths []string) (ocl.MapE
 	return out, nil
 }
 
-func (p *countingProvider) stats() (int, int) {
+// stats returns the pre- and post-state paths resolved so far.
+func (p *countingProvider) stats() (pre, post int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.calls, p.paths
+	return p.pre, p.post
 }
 
 // okForwarder is a stateless (and therefore race-free) backend stub for
@@ -66,13 +69,9 @@ func newCachedMonitor(t *testing.T, ttl time.Duration, p StateProvider, f Forwar
 				Pattern: "/projects/{project_id}/volumes/{volume_id}",
 				Backend: "/v/{project_id}/{volume_id}"},
 		},
-		Provider: p,
-		Forward:  f,
-		Mode:     Enforce,
-		// These tests assert the eager engine's whole-snapshot call and
-		// path arithmetic; the lazy engine's fetch economy is covered by
-		// the differential and plan tests.
-		Eval:             EvalEager,
+		Provider:         p,
+		Forward:          f,
+		Mode:             Enforce,
 		PreStateCacheTTL: ttl,
 	})
 	if err != nil {
@@ -90,30 +89,37 @@ func doReq(m *Monitor, method, path, token string) *httptest.ResponseRecorder {
 }
 
 // TestPreStateCacheHit: a second identical GET within the TTL resolves its
-// pre-state entirely from the cache. (Post-state snapshots always hit the
-// provider: GET/full-level needs one provider call per request even on a
-// cache hit.)
+// pre-state entirely from the cache, one hit per path the first request
+// read. Post-state reads always go to the provider.
 func TestPreStateCacheHit(t *testing.T) {
 	p := &countingProvider{env: env(1, 10, "available", "member")}
 	m := newCachedMonitor(t, time.Minute, p, &fakeForwarder{status: 200})
 
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
-	calls1, paths1 := p.stats()
-	if calls1 != 2 {
-		t.Fatalf("first request made %d provider calls, want 2 (pre+post)", calls1)
+	pre1, post1 := p.stats()
+	if pre1 == 0 || post1 == 0 {
+		t.Fatalf("first request read %d pre and %d post paths, want both > 0", pre1, post1)
+	}
+	if cs := m.CacheStats(); cs.Hits != 0 || cs.Misses != uint64(pre1) {
+		t.Fatalf("first request cache stats %+v, want 0 hits and %d misses", cs, pre1)
 	}
 
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
-	calls2, paths2 := p.stats()
-	if calls2 != 3 {
-		t.Errorf("second request made %d extra calls, want 1 (post only)", calls2-calls1)
+	pre2, post2 := p.stats()
+	if pre2 != pre1 {
+		t.Errorf("second request read %d pre paths from the provider, want 0", pre2-pre1)
 	}
-	// The post snapshot still fetches every path; the pre side fetched none.
-	if paths2-paths1 != paths1/2 {
-		t.Errorf("second request fetched %d paths, want %d", paths2-paths1, paths1/2)
+	if post2-post1 != post1 {
+		t.Errorf("second request read %d post paths, want %d (post never cached)", post2-post1, post1)
 	}
-
-	for _, v := range m.Log() {
+	if cs := m.CacheStats(); cs.Hits != uint64(pre1) {
+		t.Errorf("cache hits = %d, want %d (one per pre path)", cs.Hits, pre1)
+	}
+	log := m.Log()
+	if got := log[1].FetchedPaths; got != post1 {
+		t.Errorf("second verdict FetchedPaths = %d, want %d (post reads only)", got, post1)
+	}
+	for _, v := range log {
 		if v.Outcome != OK {
 			t.Errorf("outcome %s with cache enabled, want ok", v.Outcome)
 		}
@@ -127,12 +133,11 @@ func TestPreStateCacheDistinctTokens(t *testing.T) {
 	m := newCachedMonitor(t, time.Minute, p, &fakeForwarder{status: 200})
 
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
-	_, pathsA := p.stats()
+	preA, _ := p.stats()
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-b")
-	_, pathsB := p.stats()
-	// The second token must re-fetch the full pre snapshot (plus post).
-	if pathsB-pathsA != pathsA {
-		t.Errorf("second token fetched %d paths, want %d (no cross-token reuse)", pathsB-pathsA, pathsA)
+	preB, _ := p.stats()
+	if preB-preA != preA {
+		t.Errorf("second token read %d pre paths, want %d (no cross-token reuse)", preB-preA, preA)
 	}
 }
 
@@ -143,15 +148,17 @@ func TestPreStateCacheInvalidatedByWrite(t *testing.T) {
 	m := newCachedMonitor(t, time.Minute, p, &fakeForwarder{status: 200})
 
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a") // fills cache
+	perRead, _ := p.stats()
 	doReq(m, http.MethodDelete, "/projects/p1/volumes/v1", "tok-a")
-	_, pathsBefore := p.stats()
+	if v := m.Log()[1]; !v.Forwarded {
+		t.Fatalf("DELETE not forwarded (verdict %s); the test needs a write", v.Outcome)
+	}
+	before, _ := p.stats()
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
-	_, pathsAfter := p.stats()
-	perSnapshot := len(m.routes[0].paths)
-	// Pre and post both fetched: the write invalidated the cached pre-state.
-	if pathsAfter-pathsBefore != 2*perSnapshot {
-		t.Errorf("read after write fetched %d paths, want %d (cache must be invalidated)",
-			pathsAfter-pathsBefore, 2*perSnapshot)
+	after, _ := p.stats()
+	if after-before != perRead {
+		t.Errorf("read after write fetched %d pre paths, want %d (cache must be invalidated)",
+			after-before, perRead)
 	}
 }
 
@@ -164,13 +171,18 @@ func TestPreStateCacheTTLExpiry(t *testing.T) {
 	now := time.Now()
 	m.cache.now = func() time.Time { return now }
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
-	_, paths1 := p.stats()
+	pre1, _ := p.stats()
+
+	now = now.Add(30 * time.Second)
+	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
+	if pre2, _ := p.stats(); pre2 != pre1 {
+		t.Fatalf("fresh entries not served: read %d pre paths within the TTL", pre2-pre1)
+	}
 
 	now = now.Add(2 * time.Minute)
 	doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
-	_, paths2 := p.stats()
-	if paths2-paths1 != paths1 {
-		t.Errorf("expired entries served: fetched %d paths, want %d", paths2-paths1, paths1)
+	if pre3, _ := p.stats(); pre3-pre1 != pre1 {
+		t.Errorf("expired entries served: read %d pre paths, want %d", pre3-pre1, pre1)
 	}
 }
 
@@ -184,13 +196,20 @@ func TestPreStateCacheAbsentPaths(t *testing.T) {
 	m := newCachedMonitor(t, time.Minute, p, &fakeForwarder{status: 200})
 
 	w1 := doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
+	pre1, _ := p.stats()
 	w2 := doReq(m, http.MethodGet, "/projects/p1/volumes/v1", "tok-a")
+	if pre2, _ := p.stats(); pre2 != pre1 {
+		t.Fatalf("second request read %d pre paths, want 0 (absent paths are cached too)", pre2-pre1)
+	}
 	if w1.Code != w2.Code {
 		t.Errorf("cached verdict diverged: first %d, second %d", w1.Code, w2.Code)
 	}
 	log := m.Log()
 	if len(log) != 2 {
 		t.Fatalf("got %d verdicts", len(log))
+	}
+	if _, ok := log[0].PreSnapshot["volume.status"]; ok {
+		t.Error("absent path materialised in the live snapshot")
 	}
 	if _, ok := log[1].PreSnapshot["volume.status"]; ok {
 		t.Error("absent path materialised in cached snapshot")

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,17 +17,15 @@ import (
 	"cloudmon/internal/uml"
 )
 
-// The differential suite proves the engines' safety claim: the compiled
-// closure-chain engine, the lazy tree-walking plan engine — each with and
-// without compile-time fact pruning — and the eager whole-snapshot engine
-// produce bit-identical verdicts: same outcome, pre/post truth, failing
-// clause and SecReq attribution on every request. Only the fetch economy
-// may differ between eager and the plan engines; between lazy and
-// compiled even the economy counters (fetches, reuses, clause demands,
-// fact skips) must agree exactly, because the compiled engine swaps only
-// the per-node evaluator inside the shared demand-driven workflow. Each
-// sweep runs five arms (eager; lazy and compiled, facts off and on) and
-// compares every plan arm against eager, then lazy against compiled.
+// The differential suite proves the monitor's safety claim against a
+// reference: ocl.Eval over the full pre- and post-state. Every monitor
+// arm — compile-time facts off and on, effect-frame reuse off, and the
+// async post pipeline — must reach the reference's verdict on every
+// request: same outcome, pre/post truth, failing clause and SecReq
+// attribution, while fetching no more than the reference's two
+// whole-contract snapshots. A demand oracle pins the evaluation work too:
+// without facts, the pre phase demands exactly the paths ocl.Eval
+// resolves, disjunct by disjunct.
 
 // diffRoutes mirrors newMonitor's route table.
 func diffRoutes() []Route {
@@ -45,51 +45,18 @@ func diffRoutes() []Route {
 	}
 }
 
-// runEngine drives one request through a freshly built monitor in the given
-// eval mode and returns its verdict and response code.
-func runEngine(t *testing.T, set *contract.Set, eval EvalMode, noReuse, noFacts bool, mode Mode,
+// runEngine drives one request through a freshly built monitor configured
+// by cfg (Contracts, Routes, Provider and Forward are filled in) and
+// returns its verdict and response code. Under PostAsync the post phase
+// is drained before the verdict is read.
+func runEngine(t *testing.T, set *contract.Set, cfg Config,
 	method, path string, pre, post ocl.MapEnv, status int) (Verdict, int) {
 	t.Helper()
-	m, err := New(Config{
-		Contracts:   set,
-		Routes:      diffRoutes(),
-		Provider:    &fakeProvider{pre: pre, post: post},
-		Forward:     &fakeForwarder{status: status},
-		Mode:        mode,
-		Eval:        eval,
-		NoPostReuse: noReuse,
-		NoFacts:     noFacts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(method, path, nil)
-	req.Header.Set("X-Auth-Token", "tok")
-	rec := httptest.NewRecorder()
-	m.ServeHTTP(rec, req)
-	return lastVerdict(t, m), rec.Code
-}
-
-// runEngineAsync drives one request through a compiled monitor deferring
-// post verification to the async pipeline, drains it, and returns the late
-// verdict and the response code the client saw. Against the fixed fake
-// states the drained verdict must be indistinguishable from the
-// synchronous arms — same outcome, failing clause and fetch economy — the
-// sixth differential arm.
-func runEngineAsync(t *testing.T, set *contract.Set, noFacts bool, mode Mode,
-	method, path string, pre, post ocl.MapEnv, status int) (Verdict, int) {
-	t.Helper()
-	m, err := New(Config{
-		Contracts:   set,
-		Routes:      diffRoutes(),
-		Provider:    &fakeProvider{pre: pre, post: post},
-		Forward:     &fakeForwarder{status: status},
-		Mode:        mode,
-		Eval:        EvalCompiled,
-		NoPostReuse: true,
-		NoFacts:     noFacts,
-		Post:        PostAsync,
-	})
+	cfg.Contracts = set
+	cfg.Routes = diffRoutes()
+	cfg.Provider = &fakeProvider{pre: pre, post: post}
+	cfg.Forward = &fakeForwarder{status: status}
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +69,87 @@ func runEngineAsync(t *testing.T, set *contract.Set, noFacts bool, mode Mode,
 	return lastVerdict(t, m), rec.Code
 }
 
-// diffCompare asserts the equivalence contract between a reference verdict
-// (the eager arm) and a plan-engine verdict. Detail is compared except on
-// Error outcomes: plan order may surface a different (equally real)
-// evaluation error than the monolithic formula does.
+// diffContract returns the contract a diffRoutes request is checked by.
+func diffContract(t *testing.T, set *contract.Set, method string) *contract.Contract {
+	t.Helper()
+	c, ok := set.For(uml.Trigger{Method: uml.HTTPMethod(method), Resource: "volume"})
+	if !ok {
+		t.Fatalf("no contract for %s volume", method)
+	}
+	return c
+}
+
+// oracleVerdict is the reference verdict: the paper's workflow with
+// ocl.Eval over the full pre- and post-state the fake provider serves.
+// It decides each disjunct in model order, attributes the matched cases,
+// and maps the outcome to the status code the monitor answers with.
+// FetchedPaths is what two whole-contract snapshots read.
+func oracleVerdict(c *contract.Contract, mode Mode, pre, post ocl.MapEnv, status int) (Verdict, int) {
+	v := Verdict{Trigger: c.Trigger}
+	paths := len(c.StatePaths())
+	done := func(o Outcome, detail string, code int) (Verdict, int) {
+		v.Outcome, v.Detail = o, detail
+		switch o {
+		case Blocked, Rejected, ViolationForbiddenAccepted, ViolationAllowedRejected:
+			v.FailingClause = c.Pre.String()
+		case ViolationPostcondition:
+			v.FailingClause = c.Post.String()
+		}
+		return v, code
+	}
+	v.FetchedPaths = paths
+	seen := make(map[string]bool)
+	for _, cs := range c.Cases {
+		ok, err := ocl.EvalBool(cs.Pre, ocl.Context{Cur: pre})
+		if err != nil {
+			return done(Error, err.Error(), http.StatusBadGateway)
+		}
+		if !ok {
+			continue
+		}
+		v.PreOK = true
+		v.MatchedTransitions = append(v.MatchedTransitions,
+			cs.Transition.From+"->"+cs.Transition.To+" on "+cs.Transition.Trigger.String())
+		for _, s := range cs.Transition.SecReqs {
+			if !seen[s] {
+				seen[s] = true
+				v.MatchedSecReqs = append(v.MatchedSecReqs, s)
+			}
+		}
+	}
+	sort.Strings(v.MatchedSecReqs)
+	if !v.PreOK && mode == Enforce {
+		return done(Blocked, "pre-condition failed; request not forwarded", http.StatusPreconditionFailed)
+	}
+	v.Forwarded, v.BackendStatus = true, status
+	accepted := status >= 200 && status <= 299
+	switch {
+	case !v.PreOK && accepted:
+		return done(ViolationForbiddenAccepted, fmt.Sprintf(
+			"contract forbids %s but cloud answered %d", c.Trigger, status), http.StatusConflict)
+	case !v.PreOK:
+		return done(Rejected, "", status)
+	case !accepted:
+		return done(ViolationAllowedRejected, fmt.Sprintf(
+			"contract permits %s but cloud answered %d", c.Trigger, status), http.StatusConflict)
+	}
+	v.FetchedPaths += paths
+	ok, err := ocl.EvalBool(c.Post, ocl.Context{Cur: post, Pre: pre})
+	if err != nil {
+		return done(Error, err.Error(), http.StatusBadGateway)
+	}
+	v.PostOK = ok
+	if !ok {
+		return done(ViolationPostcondition, fmt.Sprintf(
+			"post-condition of %s failed: %s", c.Trigger, c.Post), http.StatusConflict)
+	}
+	return done(OK, "", status)
+}
+
+// diffCompare asserts the equivalence contract between the reference
+// verdict and a monitor arm's. Detail is compared except on Error
+// outcomes: plan order may surface a different (equally real) evaluation
+// error than the monolithic formula does.
 func diffCompare(t *testing.T, name string, ref, got Verdict, refCode, gotCode int) {
 	t.Helper()
 	fail := func(field string, e, l interface{}) {
@@ -141,30 +185,82 @@ func diffCompare(t *testing.T, name string, ref, got Verdict, refCode, gotCode i
 		fail("Detail", ref.Detail, got.Detail)
 	}
 	if got.FetchedPaths > ref.FetchedPaths {
-		fail("FetchedPaths (plan engine must not fetch more)", ref.FetchedPaths, got.FetchedPaths)
+		fail("FetchedPaths (the monitor must not fetch more)", ref.FetchedPaths, got.FetchedPaths)
 	}
 }
 
-// diffEconomy asserts exact economy-counter agreement between the lazy and
-// compiled arms of one configuration. The compiled engine reuses the lazy
-// workflow (fetch cache, flights, facts pruning, effect-frame reuse) and
-// swaps only per-node evaluation, so fetches, reuses, per-clause demands
-// and fact skips must match to the unit — any drift means the closure
-// chains demand state the tree walk does not, or vice versa.
-func diffEconomy(t *testing.T, name string, lazy, comp Verdict) {
+// recordingEnv is an ocl.Environment over a full state that records the
+// distinct paths an evaluation resolves.
+type recordingEnv struct {
+	env  ocl.MapEnv
+	seen map[string]bool
+}
+
+func (r *recordingEnv) Resolve(path []string) (ocl.Value, error) {
+	r.seen[strings.Join(path, ".")] = true
+	return r.env.Resolve(path)
+}
+
+// diffDemands is the pre-phase demand oracle: at CheckPreOnly, the
+// no-facts monitor's DemandedPaths must equal the sum, over disjuncts, of
+// the distinct paths ocl.Eval resolves over the full pre-state. States
+// where a disjunct fails to evaluate are skipped: the monitor stops at
+// the first error in plan order, the oracle in model order.
+func diffDemands(t *testing.T, name string, set *contract.Set, mode Mode, method, path string, pre, post ocl.MapEnv, status int) {
 	t.Helper()
-	if lazy.FetchedPaths != comp.FetchedPaths {
-		t.Errorf("%s: FetchedPaths diverged: lazy %d, compiled %d", name, lazy.FetchedPaths, comp.FetchedPaths)
+	want := 0
+	for _, cs := range diffContract(t, set, method).Cases {
+		rec := &recordingEnv{env: pre, seen: make(map[string]bool)}
+		if _, err := ocl.Eval(cs.Pre, ocl.Context{Cur: rec}); err != nil {
+			return
+		}
+		want += len(rec.seen)
 	}
-	if lazy.ReusedPaths != comp.ReusedPaths {
-		t.Errorf("%s: ReusedPaths diverged: lazy %d, compiled %d", name, lazy.ReusedPaths, comp.ReusedPaths)
+	v, _ := runEngine(t, set, Config{Mode: mode, Level: CheckPreOnly, NoFacts: true}, method, path, pre, post, status)
+	if v.DemandedPaths != want {
+		t.Errorf("%s: pre-phase DemandedPaths = %d, ocl.Eval resolves %d", name, v.DemandedPaths, want)
 	}
-	if lazy.DemandedPaths != comp.DemandedPaths {
-		t.Errorf("%s: DemandedPaths diverged: lazy %d, compiled %d", name, lazy.DemandedPaths, comp.DemandedPaths)
+}
+
+// diffArms runs one request through every monitor arm with effect-frame
+// reuse off — facts off and on, and the async post pipeline — and
+// compares each against the reference verdict.
+func diffArms(t *testing.T, name string, set *contract.Set, mode Mode, method, path string, pre, post ocl.MapEnv, status int) {
+	t.Helper()
+	ref, refCode := oracleVerdict(diffContract(t, set, method), mode, pre, post, status)
+	arms := []struct {
+		name string
+		cfg  Config
+	}{
+		{"no-facts", Config{Mode: mode, NoPostReuse: true, NoFacts: true}},
+		{"facts", Config{Mode: mode, NoPostReuse: true}},
+		{"async", Config{Mode: mode, NoPostReuse: true, NoFacts: true, Post: PostAsync}},
 	}
-	if lazy.FactsSkipped != comp.FactsSkipped {
-		t.Errorf("%s: FactsSkipped diverged: lazy %d, compiled %d", name, lazy.FactsSkipped, comp.FactsSkipped)
+	var syncV Verdict
+	for _, arm := range arms {
+		v, code := runEngine(t, set, arm.cfg, method, path, pre, post, status)
+		wantCode := refCode
+		if arm.cfg.Post == PostAsync {
+			// The async arm's one designed observable difference: a
+			// verdict decided in the deferred post phase (violation or
+			// evaluation error) lands after the client already has the
+			// backend's answer, so the wire code is the backend's, not
+			// the 409/502 the synchronous monitor substitutes.
+			if v.Late {
+				wantCode = v.BackendStatus
+			}
+			// Deferring the post phase changes no fetch or demand count.
+			if v.FetchedPaths != syncV.FetchedPaths || v.DemandedPaths != syncV.DemandedPaths {
+				t.Errorf("%s/async: economy diverged: fetched %d demanded %d, sync %d/%d",
+					name, v.FetchedPaths, v.DemandedPaths, syncV.FetchedPaths, syncV.DemandedPaths)
+			}
+		}
+		diffCompare(t, name+"/"+arm.name, ref, v, wantCode, code)
+		if arm.name == "no-facts" {
+			syncV = v
+		}
 	}
+	diffDemands(t, name+"/demands", set, mode, method, path, pre, post, status)
 }
 
 type diffRequest struct {
@@ -182,8 +278,8 @@ func diffRequests() []diffRequest {
 
 // TestDifferentialExampleStates sweeps hand-picked states covering every
 // outcome class: pre pass/fail, post pass/fail, backend accept/reject, in
-// both modes — eager vs lazy with post-state reuse disabled (the
-// unconditionally equivalent configuration).
+// both modes — every arm against the reference with post-state reuse
+// disabled (the unconditionally equivalent configuration).
 func TestDifferentialExampleStates(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -204,7 +300,7 @@ func TestDifferentialExampleStates(t *testing.T) {
 		{"quota-edge", env(10, 10, "available", "admin"), env(9, 10, "available", "admin"), 204},
 		{"empty-project", env(0, 10, "available", "admin"), env(0, 10, "available", "admin"), 204},
 	}
-	// Undefined inputs: missing paths resolve to Undefined in both engines.
+	// Undefined inputs: missing paths resolve to Undefined.
 	partial := env(2, 10, "available", "admin")
 	delete(partial, "volume.status")
 	states = append(states, state{"absent-status", partial, env(1, 10, "available", "admin"), 204})
@@ -217,29 +313,7 @@ func TestDifferentialExampleStates(t *testing.T) {
 		for _, rq := range diffRequests() {
 			for _, st := range states {
 				name := fmt.Sprintf("%s/%s/%s", mode, rq.method, st.name)
-				ve, ce := runEngine(t, set, EvalEager, false, false, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vl, cl := runEngine(t, set, EvalLazy, true, true, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vf, cf := runEngine(t, set, EvalLazy, true, false, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vc, cc := runEngine(t, set, EvalCompiled, true, true, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				vcf, ccf := runEngine(t, set, EvalCompiled, true, false, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				va, ca := runEngineAsync(t, set, true, mode, rq.method, rq.path, st.pre, st.post, st.status)
-				diffCompare(t, name, ve, vl, ce, cl)
-				diffCompare(t, name+"/facts", ve, vf, ce, cf)
-				diffCompare(t, name+"/compiled", ve, vc, ce, cc)
-				diffCompare(t, name+"/compiled+facts", ve, vcf, ce, ccf)
-				// The async arm's one designed observable difference: a
-				// verdict decided in the deferred post phase (violation or
-				// evaluation error) lands after the client already has the
-				// backend's answer, so the wire code is the backend's, not
-				// the 409/502 the synchronous monitor substitutes.
-				wantCode := ce
-				if va.Late {
-					wantCode = va.BackendStatus
-				}
-				diffCompare(t, name+"/async", ve, va, wantCode, ca)
-				diffEconomy(t, name+"/economy", vl, vc)
-				diffEconomy(t, name+"/economy+facts", vf, vcf)
-				diffEconomy(t, name+"/economy+async", vc, va)
+				diffArms(t, name, set, mode, rq.method, rq.path, st.pre, st.post, st.status)
 			}
 		}
 	}
@@ -262,9 +336,9 @@ func randomEnv(rng *rand.Rand) ocl.MapEnv {
 	return e
 }
 
-// TestDifferentialFuzzStates drives both engines over seeded random pre and
-// post states and demands verdict equivalence (reuse off: post states are
-// unconstrained, so the frame assumption does not hold).
+// TestDifferentialFuzzStates drives every arm over seeded random pre and
+// post states and demands the reference verdict (reuse off: post states
+// are unconstrained, so the frame assumption does not hold).
 func TestDifferentialFuzzStates(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -282,32 +356,16 @@ func TestDifferentialFuzzStates(t *testing.T) {
 			mode = Observe
 		}
 		name := fmt.Sprintf("fuzz-%d/%s/%s", i, mode, rq.method)
-		ve, ce := runEngine(t, set, EvalEager, false, false, mode, rq.method, rq.path, pre, post, status)
-		vl, cl := runEngine(t, set, EvalLazy, true, true, mode, rq.method, rq.path, pre, post, status)
-		vf, cf := runEngine(t, set, EvalLazy, true, false, mode, rq.method, rq.path, pre, post, status)
-		vc, cc := runEngine(t, set, EvalCompiled, true, true, mode, rq.method, rq.path, pre, post, status)
-		vcf, ccf := runEngine(t, set, EvalCompiled, true, false, mode, rq.method, rq.path, pre, post, status)
-		va, ca := runEngineAsync(t, set, true, mode, rq.method, rq.path, pre, post, status)
-		diffCompare(t, name, ve, vl, ce, cl)
-		diffCompare(t, name+"/facts", ve, vf, ce, cf)
-		diffCompare(t, name+"/compiled", ve, vc, ce, cc)
-		diffCompare(t, name+"/compiled+facts", ve, vcf, ce, ccf)
-		wantCode := ce
-		if va.Late {
-			wantCode = va.BackendStatus
-		}
-		diffCompare(t, name+"/async", ve, va, wantCode, ca)
-		diffEconomy(t, name+"/economy", vl, vc)
-		diffEconomy(t, name+"/economy+facts", vf, vcf)
-		diffEconomy(t, name+"/economy+async", vc, va)
+		diffArms(t, name, set, mode, rq.method, rq.path, pre, post, status)
 		if t.Failed() {
 			t.Fatalf("first divergence at iteration %d: pre=%v post=%v status=%d", i, pre, post, status)
 		}
 	}
 }
 
-// TestDifferentialPostReuseOnFrameRespectingStates checks the default lazy
-// configuration (effect-frame reuse ON) against eager, on post states that
+// TestDifferentialPostReuseOnFrameRespectingStates checks the default
+// configuration (effect-frame reuse ON) against the reference, on post
+// states that
 // honor the frame: only paths inside the active transitions' effect frame
 // change across the call. This is the soundness condition the reuse
 // optimization rests on — the cloud moved only what the model says the
@@ -334,30 +392,23 @@ func TestDifferentialPostReuseOnFrameRespectingStates(t *testing.T) {
 		}
 		post["project.volumes"] = ocl.CollectionVal(elems...)
 		name := fmt.Sprintf("reuse-%d/%s", i, rq.method)
-		ve, ce := runEngine(t, set, EvalEager, false, false, Enforce, rq.method, rq.path, pre, post, 204)
-		vl, cl := runEngine(t, set, EvalLazy, false, true, Enforce, rq.method, rq.path, pre, post, 204)
-		vf, cf := runEngine(t, set, EvalLazy, false, false, Enforce, rq.method, rq.path, pre, post, 204)
-		vc, cc := runEngine(t, set, EvalCompiled, false, true, Enforce, rq.method, rq.path, pre, post, 204)
-		vcf, ccf := runEngine(t, set, EvalCompiled, false, false, Enforce, rq.method, rq.path, pre, post, 204)
-		diffCompare(t, name, ve, vl, ce, cl)
-		diffCompare(t, name+"/facts", ve, vf, ce, cf)
-		diffCompare(t, name+"/compiled", ve, vc, ce, cc)
-		diffCompare(t, name+"/compiled+facts", ve, vcf, ce, ccf)
-		diffEconomy(t, name+"/economy", vl, vc)
-		diffEconomy(t, name+"/economy+facts", vf, vcf)
+		ref, refCode := oracleVerdict(diffContract(t, set, rq.method), Enforce, pre, post, 204)
+		v, code := runEngine(t, set, Config{Mode: Enforce, NoFacts: true}, rq.method, rq.path, pre, post, 204)
+		vf, cf := runEngine(t, set, Config{Mode: Enforce}, rq.method, rq.path, pre, post, 204)
+		diffCompare(t, name, ref, v, refCode, code)
+		diffCompare(t, name+"/facts", ref, vf, refCode, cf)
 		if t.Failed() {
 			t.Fatalf("first divergence at iteration %d: pre=%v post=%v", i, pre, post)
 		}
 	}
 }
 
-// TestLazyFetchEconomyOnPaperModel pins the headline numbers the plan
-// engines claim for the paper's Cinder model: a clean GET needs 5 cloud
-// reads under the plan engines against the eager engine's 8, and a clean
-// DELETE 6 against 10. The reads before the forward go out in one wave,
-// so each check waits on 2 provider rounds: the pre-state wave and the
-// one post-state read. Both demand-driven engines — lazy tree walk and
-// compiled closure chains — must hit the same pins.
+// TestLazyFetchEconomyOnPaperModel pins the headline numbers of
+// demand-driven checking on the paper's Cinder model: a clean GET needs 5
+// cloud reads against the 8 of two whole-contract snapshots
+// (2 × StatePaths), and a clean DELETE 6 against 10. The reads before the
+// forward go out in one wave, so each check waits on 2 provider rounds:
+// the pre-state wave and the one post-state read.
 func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -369,8 +420,8 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 		status              int
 		wantPlan, wantEager int
 		wantReused          int
-		// wantPreRounds are the provider rounds before the forward;
-		// each plan check adds one round per post-state read, 1 here.
+		// wantPreRounds are the provider rounds before the forward; each
+		// check adds one round per post-state read, 1 here.
 		wantPreRounds int
 	}{
 		// GET: 4 pre paths in one wave + post re-fetch of
@@ -383,48 +434,39 @@ func TestLazyFetchEconomyOnPaperModel(t *testing.T) {
 			env(2, 10, "available", "admin"), env(1, 10, "available", "admin"), 204, 6, 10, 2, 1},
 	}
 	for _, tc := range cases {
-		ve, _ := runEngine(t, set, EvalEager, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, tc.status)
-		if ve.Outcome != OK {
-			t.Fatalf("%s: eager outcome %s, want ok", tc.method, ve.Outcome)
+		if got := 2 * len(diffContract(t, set, tc.method).StatePaths()); got != tc.wantEager {
+			t.Errorf("%s: two whole-contract snapshots read %d paths, want %d", tc.method, got, tc.wantEager)
 		}
-		if ve.FetchedPaths != tc.wantEager {
-			t.Errorf("%s: eager fetched %d paths, want %d", tc.method, ve.FetchedPaths, tc.wantEager)
+		vp, _ := runEngine(t, set, Config{Mode: Enforce}, tc.method, tc.path, tc.pre, tc.post, tc.status)
+		if vp.Outcome != OK {
+			t.Fatalf("%s: outcome %s, want ok", tc.method, vp.Outcome)
 		}
-		if ve.FetchRounds != 2 {
-			t.Errorf("%s: eager waited on %d provider rounds, want 2 (one per snapshot)", tc.method, ve.FetchRounds)
+		if vp.FetchedPaths != tc.wantPlan {
+			t.Errorf("%s: fetched %d paths, want %d", tc.method, vp.FetchedPaths, tc.wantPlan)
 		}
-		for _, eval := range []EvalMode{EvalLazy, EvalCompiled} {
-			vp, _ := runEngine(t, set, eval, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, tc.status)
-			if vp.Outcome != OK {
-				t.Fatalf("%s/%s: outcome %s, want ok", tc.method, eval, vp.Outcome)
-			}
-			if vp.FetchedPaths != tc.wantPlan {
-				t.Errorf("%s/%s: fetched %d paths, want %d", tc.method, eval, vp.FetchedPaths, tc.wantPlan)
-			}
-			if vp.ReusedPaths != tc.wantReused {
-				t.Errorf("%s/%s: reused %d paths, want %d", tc.method, eval, vp.ReusedPaths, tc.wantReused)
-			}
-			if want := tc.wantPreRounds + 1; vp.FetchRounds != want {
-				t.Errorf("%s/%s: waited on %d provider rounds, want %d pre-phase + 1 post read",
-					tc.method, eval, vp.FetchRounds, tc.wantPreRounds)
-			}
+		if vp.ReusedPaths != tc.wantReused {
+			t.Errorf("%s: reused %d paths, want %d", tc.method, vp.ReusedPaths, tc.wantReused)
+		}
+		if want := tc.wantPreRounds + 1; vp.FetchRounds != want {
+			t.Errorf("%s: waited on %d provider rounds, want %d pre-phase + 1 post read",
+				tc.method, vp.FetchRounds, tc.wantPreRounds)
 		}
 	}
 }
 
 // TestDifferentialFailPolicies checks that every snapshot-failure policy
-// degrades identically under the lazy and compiled engines, with facts on
-// and off: a cloud outage must yield the same outcome, attribution and
-// economy regardless of how clauses are evaluated. Three fault shapes are
+// degrades identically with facts on and off: a cloud outage must yield
+// the same outcome and attribution whether or not compile-time facts
+// pruned clauses, and facts never read more. Three fault shapes are
 // driven per policy: pre-phase failure (cold), post-phase failure, and —
 // for Degrade — a warmed cache followed by an outage, which must serve the
-// cached pre-state in both engines.
+// cached pre-state in both arms.
 func TestDifferentialFailPolicies(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(eval EvalMode, noFacts bool, policy FailPolicy, prov StateProvider) *Monitor {
+	build := func(noFacts bool, policy FailPolicy, prov StateProvider) *Monitor {
 		t.Helper()
 		cfg := Config{
 			Contracts:  set,
@@ -432,7 +474,6 @@ func TestDifferentialFailPolicies(t *testing.T) {
 			Provider:   prov,
 			Forward:    &fakeForwarder{status: 204},
 			Mode:       Enforce,
-			Eval:       eval,
 			NoFacts:    noFacts,
 			FailPolicy: policy,
 		}
@@ -457,58 +498,53 @@ func TestDifferentialFailPolicies(t *testing.T) {
 	send := func(m *Monitor) (Verdict, int) { return sendReq(m, http.MethodDelete) }
 	good := env(2, 10, "available", "admin")
 	for _, policy := range []FailPolicy{FailClosed, FailOpen, Degrade} {
-		for _, noFacts := range []bool{true, false} {
-			tag := fmt.Sprintf("%s/facts=%v", policy, !noFacts)
+		tag := policy.String()
 
-			// Pre-phase outage from the first request.
-			run := func(eval EvalMode) (Verdict, int) {
-				prov := &switchProvider{env: good}
-				prov.fail.Store(true)
-				return send(build(eval, noFacts, policy, prov))
-			}
-			vl, cl := run(EvalLazy)
-			vc, cc := run(EvalCompiled)
-			diffCompare(t, tag+"/pre-fault", vl, vc, cl, cc)
-			diffEconomy(t, tag+"/pre-fault", vl, vc)
-			if vl.DegradedPre != vc.DegradedPre {
-				t.Errorf("%s/pre-fault: DegradedPre diverged: lazy %v, compiled %v", tag, vl.DegradedPre, vc.DegradedPre)
-			}
+		// Pre-phase outage from the first request.
+		run := func(noFacts bool) (Verdict, int) {
+			prov := &switchProvider{env: good}
+			prov.fail.Store(true)
+			return send(build(noFacts, policy, prov))
+		}
+		vp, cp := run(true)
+		vf, cf := run(false)
+		diffCompare(t, tag+"/pre-fault", vp, vf, cp, cf)
+		if vp.DegradedPre != vf.DegradedPre {
+			t.Errorf("%s/pre-fault: DegradedPre diverged: facts off %v, on %v", tag, vp.DegradedPre, vf.DegradedPre)
+		}
 
-			// Post-phase outage: the pre-check passes, the post snapshot
-			// fails mid-request.
-			runPost := func(eval EvalMode) (Verdict, int) {
-				return send(build(eval, noFacts, policy, &prePostProvider{pre: good}))
-			}
-			vl, cl = runPost(EvalLazy)
-			vc, cc = runPost(EvalCompiled)
-			diffCompare(t, tag+"/post-fault", vl, vc, cl, cc)
-			diffEconomy(t, tag+"/post-fault", vl, vc)
+		// Post-phase outage: the pre-check passes, the post snapshot
+		// fails mid-request.
+		runPost := func(noFacts bool) (Verdict, int) {
+			return send(build(noFacts, policy, &prePostProvider{pre: good}))
+		}
+		vp, cp = runPost(true)
+		vf, cf = runPost(false)
+		diffCompare(t, tag+"/post-fault", vp, vf, cp, cf)
 
-			if policy != Degrade {
-				continue
+		if policy != Degrade {
+			continue
+		}
+		// Warm cache, then outage: Degrade must serve the cached
+		// pre-state and mark the verdict degraded in both arms. GET keeps
+		// the state fixpoint-clean across both requests.
+		runWarm := func(noFacts bool) (Verdict, int) {
+			prov := &switchProvider{env: good}
+			m := build(noFacts, policy, prov)
+			if v, _ := sendReq(m, http.MethodGet); v.Outcome != OK {
+				t.Fatalf("%s/facts=%v: warm request outcome %s, want ok", tag, !noFacts, v.Outcome)
 			}
-			// Warm cache, then outage: Degrade must serve the cached
-			// pre-state and mark the verdict degraded in both engines.
-			// GET keeps the state fixpoint-clean across both requests.
-			runWarm := func(eval EvalMode) (Verdict, int) {
-				prov := &switchProvider{env: good}
-				m := build(eval, noFacts, policy, prov)
-				if v, _ := sendReq(m, http.MethodGet); v.Outcome != OK {
-					t.Fatalf("%s/%s: warm request outcome %s, want ok", tag, eval, v.Outcome)
-				}
-				// Let the read cache lapse so the live snapshot really
-				// fails; the degrade window is still wide open.
-				time.Sleep(30 * time.Millisecond)
-				prov.fail.Store(true)
-				return sendReq(m, http.MethodGet)
-			}
-			vl, cl = runWarm(EvalLazy)
-			vc, cc = runWarm(EvalCompiled)
-			diffCompare(t, tag+"/degrade-warm", vl, vc, cl, cc)
-			diffEconomy(t, tag+"/degrade-warm", vl, vc)
-			if !vl.DegradedPre || !vc.DegradedPre {
-				t.Errorf("%s/degrade-warm: DegradedPre lazy=%v compiled=%v, want both true", tag, vl.DegradedPre, vc.DegradedPre)
-			}
+			// Let the read cache lapse so the live snapshot really fails;
+			// the degrade window is still wide open.
+			time.Sleep(30 * time.Millisecond)
+			prov.fail.Store(true)
+			return sendReq(m, http.MethodGet)
+		}
+		vp, cp = runWarm(true)
+		vf, cf = runWarm(false)
+		diffCompare(t, tag+"/degrade-warm", vp, vf, cp, cf)
+		if !vp.DegradedPre || !vf.DegradedPre {
+			t.Errorf("%s/degrade-warm: DegradedPre facts off=%v on=%v, want both true", tag, vp.DegradedPre, vf.DegradedPre)
 		}
 	}
 }

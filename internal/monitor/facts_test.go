@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"cloudmon/internal/contract"
@@ -38,8 +39,8 @@ func TestFactsPruneOnPaperModel(t *testing.T) {
 			3, 11, 16},
 	}
 	for _, tc := range cases {
-		vf, _ := runEngine(t, set, EvalLazy, false, false, Enforce, tc.method, tc.path, tc.pre, tc.post, 204)
-		vl, _ := runEngine(t, set, EvalLazy, false, true, Enforce, tc.method, tc.path, tc.pre, tc.post, 204)
+		vf, _ := runEngine(t, set, Config{Mode: Enforce}, tc.method, tc.path, tc.pre, tc.post, 204)
+		vl, _ := runEngine(t, set, Config{Mode: Enforce, NoFacts: true}, tc.method, tc.path, tc.pre, tc.post, 204)
 		if vf.Outcome != OK || vl.Outcome != OK {
 			t.Fatalf("%s: outcomes facts=%s plain=%s, want ok/ok", tc.name, vf.Outcome, vl.Outcome)
 		}
@@ -116,18 +117,48 @@ func TestFactsMetricsAndReset(t *testing.T) {
 	}
 }
 
-// TestEagerLeavesDemandAccountingZero: DemandedPaths and FactsSkipped are
-// lazy-engine measures; the eager engine must leave them untouched.
-func TestEagerLeavesDemandAccountingZero(t *testing.T) {
+// TestFactsDebugTripwireFires plants an unsound fact — a copy of the
+// DELETE plan whose first disjunct is "proven" true — and sends a request
+// every disjunct refutes. The FactsDebug re-check must count the
+// mismatch, and the verdict must differ from the reference: the fact, not
+// the state, decided it.
+func TestFactsDebugTripwireFires(t *testing.T) {
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := runEngine(t, set, EvalEager, false, false, Enforce,
-		http.MethodDelete, "/projects/p1/volumes/v1",
-		env(1, 10, "available", "admin"), env(0, 10, "available", "admin"), 204)
-	if v.DemandedPaths != 0 || v.FactsSkipped != 0 {
-		t.Errorf("eager verdict has DemandedPaths=%d FactsSkipped=%d, want 0/0",
-			v.DemandedPaths, v.FactsSkipped)
+	pre, post := env(2, 10, "available", "intruder"), env(1, 10, "available", "intruder")
+	ref, _ := oracleVerdict(diffContract(t, set, http.MethodDelete), Enforce, pre, post, 204)
+	if ref.Outcome != Blocked {
+		t.Fatalf("reference outcome %s, want blocked", ref.Outcome)
+	}
+	m, err := New(Config{
+		Contracts:  set,
+		Routes:     diffRoutes(),
+		Provider:   &fakeProvider{pre: pre, post: post},
+		Forward:    &fakeForwarder{status: 204},
+		FactsDebug: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, _, ok := m.match(httptest.NewRequest(http.MethodDelete, "/projects/p1/volumes/v1", nil))
+	if !ok {
+		t.Fatal("no DELETE route")
+	}
+	plan := *cr.plan
+	facts := *plan.Facts
+	facts.Pre = slices.Clone(facts.Pre)
+	wrong := ocl.BoolVal(true)
+	facts.Pre[plan.Pre[0].Index].Static = &wrong
+	plan.Facts = &facts
+	cr.plan = &plan
+
+	doDelete(t, m)
+	if n := m.factsMismatch.Value(); n == 0 {
+		t.Error("FactsDebug counted no mismatch for a planted unsound fact")
+	}
+	if v := lastVerdict(t, m); v.Outcome == ref.Outcome {
+		t.Errorf("verdict %s matches the reference; the planted fact decided nothing", v.Outcome)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,72 +15,6 @@ import (
 	"cloudmon/internal/ocl"
 )
 
-// EvalMode selects the snapshot/evaluation engine.
-type EvalMode int
-
-// Evaluation modes.
-const (
-	// EvalLazy evaluates the contract's compiled plan
-	// clause-by-clause, fetching each state path the first time a formula
-	// demands it. The pre-check fetches only what deciding (and
-	// attributing) the disjuncts needs; the post-check re-fetches only
-	// paths inside the active transitions' effect frame and reuses the
-	// pre-state snapshot for the rest.
-	EvalLazy EvalMode = iota + 1
-	// EvalEager snapshots the contract's full StatePaths union before each
-	// evaluation — the paper's original workflow. Kept for differential
-	// testing and benchmarking against the plan engine.
-	EvalEager
-	// EvalCompiled (the default) runs the same demand-driven workflow as
-	// EvalLazy — same fetch order, facts pruning, FailPolicy semantics and
-	// demand accounting — but evaluates each clause through its compiled
-	// closure-chain program (contract/compile.go) over a pooled slot
-	// frame instead of re-walking the OCL tree. Only the per-node
-	// evaluation changes; the differential suite proves the verdicts
-	// field-for-field identical.
-	EvalCompiled
-)
-
-// String returns the mode name.
-func (e EvalMode) String() string {
-	switch e {
-	case EvalLazy:
-		return "lazy"
-	case EvalEager:
-		return "eager"
-	case EvalCompiled:
-		return "compiled"
-	}
-	return fmt.Sprintf("EvalMode(%d)", int(e))
-}
-
-// ParseEvalMode parses a -eval flag value.
-func ParseEvalMode(s string) (EvalMode, error) {
-	switch s {
-	case "compiled":
-		return EvalCompiled, nil
-	case "lazy":
-		return EvalLazy, nil
-	case "eager":
-		return EvalEager, nil
-	}
-	return 0, fmt.Errorf("monitor: unknown eval mode %q (compiled|lazy|eager)", s)
-}
-
-// unfetchedError is the demand signal of lazy evaluation: a formula reached
-// a navigation path its environment has not fetched yet. The evaluator
-// aborts on any environment error, so the driver fetches the path and
-// re-evaluates; fetched values are stable, so each retry advances past the
-// previous miss.
-type unfetchedError struct {
-	env  *lazyEnv
-	path string
-}
-
-func (e *unfetchedError) Error() string {
-	return "monitor: state path " + e.path + " not fetched"
-}
-
 // fetchError wraps a cloud fetch failure so the check loop can tell
 // snapshot failures (fail-policy territory) from formula evaluation errors.
 type fetchError struct{ err error }
@@ -89,57 +22,20 @@ type fetchError struct{ err error }
 func (e *fetchError) Error() string { return e.err.Error() }
 func (e *fetchError) Unwrap() error { return e.err }
 
-// lazyEnv is an ocl.Environment populated on demand. A fetched-but-absent
-// path resolves to Undefined exactly like ocl.MapEnv; an unfetched path
-// resolves to an unfetchedError naming itself.
+// lazyEnv is a state snapshot filled on demand: the verdict's snapshot of
+// record and the pre-state an async post check carries. Each set is
+// mirrored into the compiled engine's slot frame, so the env and the frame
+// never disagree about what has been fetched.
 type lazyEnv struct {
 	vals ocl.MapEnv
 	have map[string]bool
-	// demanded records the distinct paths the current clause has resolved
-	// (see beginClause/takeDemands); nil until accounting starts.
-	demanded map[string]bool
 	// slotSet, when non-nil, mirrors every set into the compiled engine's
-	// frame bank, so the env (the verdict's snapshot of record) and the
-	// slot model can never disagree about what has been fetched.
+	// frame bank.
 	slotSet func(path string, v ocl.Value, present bool)
 }
 
 func newLazyEnv() *lazyEnv {
 	return &lazyEnv{vals: make(ocl.MapEnv), have: make(map[string]bool)}
-}
-
-// Resolve implements ocl.Environment.
-func (e *lazyEnv) Resolve(path []string) (ocl.Value, error) {
-	key := strings.Join(path, ".")
-	if e.have[key] {
-		if e.demanded != nil {
-			e.demanded[key] = true
-		}
-		if v, ok := e.vals[key]; ok {
-			return v, nil
-		}
-		return ocl.Undefined(), nil
-	}
-	return ocl.Value{}, &unfetchedError{env: e, path: key}
-}
-
-// beginClause opens a demand-accounting window: takeDemands then reports
-// the distinct paths the evaluator resolved since. The per-clause counts
-// feed Verdict.DemandedPaths — the work measure fact pruning reduces even
-// when every path was already fetched.
-func (e *lazyEnv) beginClause() {
-	if e.demanded == nil {
-		e.demanded = make(map[string]bool, 8)
-		return
-	}
-	clear(e.demanded)
-}
-
-// takeDemands closes the window and returns its distinct demand count.
-func (e *lazyEnv) takeDemands() int {
-	n := len(e.demanded)
-	clear(e.demanded)
-	return n
 }
 
 // set records a fetched value (present=false marks the path as fetched but
@@ -512,37 +408,11 @@ func (f *lazyFetcher) fetchPost(env *lazyEnv, path string) error {
 	return nil
 }
 
-// evalDemand evaluates expr, fetching navigation paths the moment the
-// evaluator demands one. The loop terminates because every successful fetch
-// marks its path fetched and Resolve only errors on unfetched paths.
-// Fetch failures come back wrapped in fetchError; all other errors are
-// genuine evaluation errors.
-func evalDemand(expr ocl.Expr, ctx ocl.Context, fetch func(*lazyEnv, string) error) (ocl.Value, error) {
-	for {
-		val, err := ocl.Eval(expr, ctx)
-		if err == nil {
-			return val, nil
-		}
-		var uf *unfetchedError
-		if !errors.As(err, &uf) {
-			return ocl.Value{}, err
-		}
-		if uf.env.fetched(uf.path) {
-			// A fetch that does not mark its path would loop forever; fail
-			// loudly instead.
-			return ocl.Value{}, fmt.Errorf("monitor: demand loop stuck on path %s", uf.path)
-		}
-		if ferr := fetch(uf.env, uf.path); ferr != nil {
-			return ocl.Value{}, &fetchError{err: ferr}
-		}
-	}
-}
-
-// evalProgram is evalDemand's twin for the compiled engine: it runs the
-// clause's closure-chain program, fetching a state path the moment a slot
-// demand surfaces. Termination mirrors evalDemand — every successful
-// fetch fills its slot (via the env's slotSet mirror), and a filled slot
-// cannot demand again.
+// evalProgram runs a clause's closure-chain program, fetching a state
+// path the moment a slot demand surfaces. The loop terminates because
+// every successful fetch fills its slot (via the env's slotSet mirror),
+// and a filled slot cannot demand again. Fetch failures come back wrapped
+// in fetchError; all other errors are genuine evaluation errors.
 func evalProgram(prog *contract.Program, fr *contract.Frame, fetch func(*contract.Demand) error) (ocl.Value, error) {
 	for {
 		val, err := prog.Run(fr)
@@ -582,26 +452,16 @@ const (
 // the skip — the prover is idealized (facts.go), so the observation is
 // the soundness guard. Every other outcome (true, undefined, non-boolean,
 // evaluation or fetch error) falls back to full evaluation, which
-// reproduces the no-facts engine exactly: the witness's fetched values
+// reproduces no-facts evaluation exactly: the witness's fetched values
 // are shared state, and fetchPre retries failed paths on re-demand.
-func (m *Monitor) witnessSkip(facts *contract.Facts, comp *contract.Compiled, fr *contract.Frame, i int, anteVals []ocl.Value, pre *lazyEnv, preCtx ocl.Context, f *lazyFetcher, v *Verdict) (ocl.Value, bool) {
+func (m *Monitor) witnessSkip(facts *contract.Facts, comp *contract.Compiled, fr *contract.Frame, i int, anteVals []ocl.Value, demand func(*contract.Demand) error, v *Verdict) (ocl.Value, bool) {
 	for j, ex := range facts.Exclusions[i] {
 		if isBool, b := boolValue(anteVals[ex.Provider]); !isBool || !b {
 			continue
 		}
-		var wval ocl.Value
-		var err error
-		if fr != nil {
-			fr.BeginClause()
-			wval, err = evalProgram(comp.WitnessProgram(i, j), fr, func(d *contract.Demand) error {
-				return f.fetchPre(pre, d.Path)
-			})
-			v.DemandedPaths += fr.TakeDemands()
-		} else {
-			pre.beginClause()
-			wval, err = evalDemand(ex.Witness, preCtx, f.fetchPre)
-			v.DemandedPaths += pre.takeDemands()
-		}
+		fr.BeginClause()
+		wval, err := evalProgram(comp.WitnessProgram(i, j), fr, demand)
+		v.DemandedPaths += fr.TakeDemands()
 		if err == nil {
 			if isBool, b := boolValue(wval); isBool && !b {
 				v.FactsSkipped++
@@ -617,10 +477,13 @@ func (m *Monitor) witnessSkip(facts *contract.Facts, comp *contract.Compiled, fr
 	return ocl.Value{}, false
 }
 
-// checkLazy is the plan-driven monitoring workflow: semantically equivalent
-// to checkEager (same verdicts, failing clauses and SecReq attributions —
-// see differential_test.go) while fetching only the state paths the
-// verdict actually needs.
+// check runs the monitoring workflow for a matched request and returns the
+// verdict plus the backend response (nil when not forwarded). It reaches
+// the verdict ocl.Eval would reach over the full pre- and post-state (same
+// outcome, failing clause and SecReq attributions — see
+// differential_test.go) while fetching only the state paths the verdict
+// needs, and evaluates each clause through its compiled program
+// (contract/compile.go) over a pooled slot frame.
 //
 // Pre-check: every disjunct is evaluated (coverage attribution needs each
 // case's truth, Section IV.C) in plan order, but demand-driven — a failed
@@ -633,7 +496,7 @@ func (m *Monitor) witnessSkip(facts *contract.Facts, comp *contract.Compiled, fr
 // The third return value is non-nil only under PostAsync: the pre phase
 // and the forward are complete, the verdict is deferred, and the capture
 // carries everything postVerify needs to finish it off the response path.
-func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[string]string, trace *obs.Trace) (Verdict, *BackendResponse, *postCapture) {
+func (m *Monitor) check(r *http.Request, cr *compiledRoute, params map[string]string, trace *obs.Trace) (Verdict, *BackendResponse, *postCapture) {
 	start := time.Now()
 	c := cr.contract
 	plan := cr.plan
@@ -699,45 +562,45 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 	// without evaluation, and a disjunct with an armed exclusion (a
 	// sibling already observed definitely true) is decided by its witness
 	// element alone when that witness is observed definitely false — every
-	// other observation falls back to full evaluation, reproducing the
-	// no-facts engine exactly.
+	// other observation falls back to full evaluation, reproducing
+	// no-facts evaluation exactly.
 	preStart := time.Now()
 	facts := plan.Facts
 	useFacts := !m.noFacts && facts != nil
 	anteVals := make([]ocl.Value, len(c.Cases))
+	// A pooled slot frame mirrors the env (slotSet keeps them in
+	// lockstep) and the clause programs run over it.
 	pre := newLazyEnv()
-	preCtx := ocl.Context{Cur: pre}
-	// The compiled engine swaps only the per-clause evaluation: a pooled
-	// slot frame mirrors the env (slotSet keeps them in lockstep), the
-	// clause programs run over it, and the demand loop, fetch order and
-	// accounting stay exactly the lazy engine's.
 	comp := plan.Compiled
-	useCompiled := m.eval == EvalCompiled && comp != nil
-	var fr *contract.Frame
-	var demandPre func(*contract.Demand) error
-	if useCompiled {
-		fr = comp.NewFrame()
-		defer comp.Release(fr)
-		pre.slotSet = fr.SetCur
-		demandPre = func(d *contract.Demand) error { return f.fetchPre(pre, d.Path) }
-	} else {
-		comp = nil
-	}
+	fr := comp.NewFrame()
+	defer comp.Release(fr)
+	pre.slotSet = fr.SetCur
+	demandPre := func(d *contract.Demand) error { return f.fetchPre(pre, d.Path) }
 	// debugRecheck re-derives a fact-decided value the slow way
-	// (FactsDebug): an unsound fact surfaces as a mismatch count here and
-	// as a verdict divergence in the differential suites.
-	debugRecheck := func(i int, got ocl.Value) {
+	// (FactsDebug): it reads the clause's paths and evaluates the original
+	// disjunct with ocl.Eval. A failed read or a different value counts as
+	// a mismatch; an unsound fact also surfaces as a verdict divergence in
+	// the differential suites.
+	debugRecheck := func(cl *contract.PreClause, got ocl.Value) {
 		if !m.factsDebug {
 			return
 		}
-		pre.beginClause()
-		full, err := evalDemand(c.Cases[i].Pre, preCtx, f.fetchPre)
-		pre.takeDemands()
+		for _, p := range cl.Paths {
+			if pre.fetched(p) {
+				continue
+			}
+			if err := f.fetchPre(pre, p); err != nil {
+				m.factsMismatch.Inc()
+				return
+			}
+		}
+		full, err := ocl.Eval(c.Cases[cl.Index].Pre, ocl.Context{Cur: pre.vals})
 		if err != nil || !full.Equal(got) {
 			m.factsMismatch.Inc()
 		}
 	}
-	for _, cl := range plan.Pre {
+	for ci := range plan.Pre {
+		cl := &plan.Pre[ci]
 		i := cl.Index
 		// The clause's first unfetched demand — witness, full evaluation
 		// or debug re-check — reads all its paths in one wave.
@@ -747,34 +610,21 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 				anteVals[i] = *s
 				v.FactsSkipped++
 				m.factsPruned.Add(factsPrunedPreClause, 1)
-				debugRecheck(i, *s)
+				debugRecheck(cl, *s)
 				continue
 			}
-			if val, ok := m.witnessSkip(facts, comp, fr, i, anteVals, pre, preCtx, f, &v); ok {
+			if val, ok := m.witnessSkip(facts, comp, fr, i, anteVals, demandPre, &v); ok {
 				anteVals[i] = val
-				debugRecheck(i, val)
+				debugRecheck(cl, val)
 				continue
 			}
 		}
-		var val ocl.Value
-		var err error
-		if useCompiled {
-			// The program was compiled from the folded form, which is
-			// value-, error- and demand-equivalent to the original
-			// (facts.go) — one program serves facts-on and facts-off.
-			fr.BeginClause()
-			val, err = evalProgram(comp.PreProgram(i), fr, demandPre)
-			v.DemandedPaths += fr.TakeDemands()
-		} else {
-			expr := c.Cases[i].Pre
-			if useFacts {
-				// The folded form is value- and error-equivalent (facts.go).
-				expr = facts.Pre[i].Folded
-			}
-			pre.beginClause()
-			val, err = evalDemand(expr, preCtx, f.fetchPre)
-			v.DemandedPaths += pre.takeDemands()
-		}
+		// The program was compiled from the folded form, which is value-,
+		// error- and demand-equivalent to the original (facts.go) — one
+		// program serves facts-on and facts-off.
+		fr.BeginClause()
+		val, err := evalProgram(comp.PreProgram(i), fr, demandPre)
+		v.DemandedPaths += fr.TakeDemands()
 		if err != nil {
 			preEvalDur = time.Since(preStart) - f.preDur
 			var fe *fetchError
@@ -789,7 +639,7 @@ func (m *Monitor) checkLazy(r *http.Request, cr *compiledRoute, params map[strin
 	v.DegradedPre = f.degraded
 	v.PreSnapshot = pre.vals
 
-	// Coverage attribution in model order, exactly as the eager evalPre.
+	// Coverage attribution in model order.
 	preOK := false
 	var matched, matchedTrans []string
 	seen := make(map[string]bool)
@@ -961,8 +811,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace, fr *contract.Fr
 	facts := plan.Facts
 	useFacts := !m.noFacts && facts != nil
 	comp := plan.Compiled
-	useCompiled := m.eval == EvalCompiled && comp != nil
-	if useCompiled && fr == nil {
+	if fr == nil {
 		fr = comp.NewFrame()
 		defer comp.Release(fr)
 	}
@@ -996,45 +845,31 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace, fr *contract.Fr
 			}
 		}
 	}
+	// Turn the frame around: the current bank now describes the
+	// post-state (filled on demand below) and the captured pre-state
+	// becomes the pre bank. The pre env stops mirroring into the frame —
+	// nothing writes it after the forward.
 	post := newLazyEnv()
-	postCtx := ocl.Context{Cur: post, Pre: pre}
-	if useCompiled {
-		// Turn the frame around: the current bank now describes the
-		// post-state (filled on demand below) and the captured pre-state
-		// becomes the pre bank. The pre env stops mirroring into the
-		// frame — nothing writes it after the forward.
-		fr.BeginPost()
-		pre.slotSet = nil
-		post.slotSet = fr.SetCur
-		for path := range pre.have {
-			val, present := pre.value(path)
-			fr.SetPre(path, val, present)
-		}
+	fr.BeginPost()
+	pre.slotSet = nil
+	post.slotSet = fr.SetCur
+	for path := range pre.have {
+		val, present := pre.value(path)
+		fr.SetPre(path, val, present)
 	}
-	fetchPost := func(env *lazyEnv, p string) error {
-		if env == pre {
+	demandPost := func(d *contract.Demand) error {
+		if d.Pre {
 			// Defense against a plan bug: every pre-context path of an
 			// active consequent was topped up before the forward.
-			return fmt.Errorf("monitor: pre-state path %s demanded after forward", p)
+			return fmt.Errorf("monitor: pre-state path %s demanded after forward", d.Path)
 		}
-		if frame != nil && !frame[p] && pre.fetched(p) {
-			val, present := pre.value(p)
-			env.set(p, val, present)
+		if frame != nil && !frame[d.Path] && pre.fetched(d.Path) {
+			val, present := pre.value(d.Path)
+			post.set(d.Path, val, present)
 			v.ReusedPaths++
 			return nil
 		}
-		return f.fetchPost(env, p)
-	}
-	var demandPost func(*contract.Demand) error
-	if useCompiled {
-		demandPost = func(d *contract.Demand) error {
-			if d.Pre {
-				// Mirrors the env == pre guard above: every pre-context
-				// path of an active consequent was topped up already.
-				return fmt.Errorf("monitor: pre-state path %s demanded after forward", d.Path)
-			}
-			return fetchPost(post, d.Path)
-		}
+		return f.fetchPost(post, d.Path)
 	}
 	sawUndef := false
 	postOK := true
@@ -1051,28 +886,15 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace, fr *contract.Fr
 			continue // antecedent false: implication holds, nothing to read
 		}
 		if !anteBool && ante.Kind != ocl.KindUndefined {
-			// The eager engine feeds the antecedent through its boolean
+			// ocl.Eval feeds the antecedent through its boolean
 			// connective, which rejects non-boolean kinds.
 			postEvalDur = time.Since(postStart) - f.postDur
 			return finish(Error, fmt.Sprintf("post-condition evaluation: %v",
 				&ocl.EvalError{Expr: c.Post, Message: "boolean operator applied to " + ante.Kind.String()}))
 		}
-		var consVal ocl.Value
-		var err error
-		if useCompiled {
-			fr.BeginClause()
-			consVal, err = evalProgram(comp.PostProgram(pc.Index), fr, demandPost)
-			v.DemandedPaths += fr.TakeDemands()
-		} else {
-			postExpr := c.Cases[pc.Index].Post
-			if useFacts {
-				postExpr = facts.Post[pc.Index].Folded
-			}
-			pre.beginClause()
-			post.beginClause()
-			consVal, err = evalDemand(postExpr, postCtx, fetchPost)
-			v.DemandedPaths += pre.takeDemands() + post.takeDemands()
-		}
+		fr.BeginClause()
+		consVal, err := evalProgram(comp.PostProgram(pc.Index), fr, demandPost)
+		v.DemandedPaths += fr.TakeDemands()
 		if err != nil {
 			postEvalDur = time.Since(postStart) - f.postDur
 			var fe *fetchError
@@ -1102,7 +924,7 @@ func (m *Monitor) postVerify(cap *postCapture, trace *obs.Trace, fr *contract.Fr
 			sawUndef = true
 		}
 		if !postOK {
-			break // the eager conjunction short-circuits on definite false
+			break // ocl.Eval's conjunction short-circuits on definite false
 		}
 	}
 	postEvalDur = time.Since(postStart) - f.postDur

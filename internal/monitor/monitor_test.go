@@ -14,7 +14,7 @@ import (
 )
 
 // fakeProvider returns scripted snapshots: pre-phase reads serve pre,
-// post-phase reads serve post (the lazy engine issues several Snapshot
+// post-phase reads serve post (the monitor issues several Snapshot
 // calls per phase, so the phase on the request context — not the call
 // count — selects the script).
 type fakeProvider struct {

@@ -18,22 +18,21 @@ import (
 // verdict only when evaluation asks for that path, and then under the
 // same fail policy as a sequential read would.
 
-// waveArms are the demand-driven engine configurations: lazy and
-// compiled, each with and without compile-time facts.
+// waveArms are the fact-pruning configurations every wave test runs:
+// compile-time facts off and on.
 var waveArms = []struct {
-	eval    EvalMode
 	noFacts bool
 }{
-	{EvalLazy, true}, {EvalLazy, false}, {EvalCompiled, true}, {EvalCompiled, false},
+	{true}, {false},
 }
 
-func waveArmName(eval EvalMode, noFacts bool) string {
-	return fmt.Sprintf("%s/facts=%v", eval, !noFacts)
+func waveArmName(noFacts bool) string {
+	return fmt.Sprintf("facts=%v", !noFacts)
 }
 
 // buildWaveMonitor builds a Cinder monitor on diffRoutes for one arm and
 // policy. Degrade gets the read cache it requires.
-func buildWaveMonitor(t *testing.T, eval EvalMode, noFacts bool, policy FailPolicy, prov StateProvider) *Monitor {
+func buildWaveMonitor(t *testing.T, noFacts bool, policy FailPolicy, prov StateProvider) *Monitor {
 	t.Helper()
 	set, err := contract.Generate(paper.CinderModel())
 	if err != nil {
@@ -45,7 +44,6 @@ func buildWaveMonitor(t *testing.T, eval EvalMode, noFacts bool, policy FailPoli
 		Provider:   prov,
 		Forward:    &fakeForwarder{status: 204},
 		Mode:       Enforce,
-		Eval:       eval,
 		NoFacts:    noFacts,
 		FailPolicy: policy,
 	}
@@ -117,9 +115,9 @@ func TestFetchWaveUnaskedFailureKeepsVerdict(t *testing.T) {
 	delete(pre, "project.id")
 	for _, policy := range []FailPolicy{FailClosed, FailOpen, Degrade} {
 		for _, arm := range waveArms {
-			name := policy.String() + "/" + waveArmName(arm.eval, arm.noFacts)
+			name := policy.String() + "/" + waveArmName(arm.noFacts)
 			prov := &pathFailProvider{env: pre, fail: "user.id.groups"}
-			m := buildWaveMonitor(t, arm.eval, arm.noFacts, policy, prov)
+			m := buildWaveMonitor(t, arm.noFacts, policy, prov)
 			v, code := sendWave(t, m, http.MethodDelete)
 			if v.Outcome != Blocked || code != http.StatusPreconditionFailed || v.Forwarded {
 				t.Errorf("%s: verdict %s (%s) code %d forwarded=%v, want blocked 412 not forwarded",
@@ -177,21 +175,21 @@ func TestFetchWaveFailPolicies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, arm := range waveArms {
-			name := tc.policy.String() + "/" + waveArmName(arm.eval, arm.noFacts)
+			name := tc.policy.String() + "/" + waveArmName(arm.noFacts)
 
 			down := &switchProvider{env: good}
 			down.fail.Store(true)
-			v, code := sendWave(t, buildWaveMonitor(t, arm.eval, arm.noFacts, tc.policy, down), http.MethodDelete)
+			v, code := sendWave(t, buildWaveMonitor(t, arm.noFacts, tc.policy, down), http.MethodDelete)
 			check(name+"/pre-fault", v, code, tc.preFault)
 
-			v, code = sendWave(t, buildWaveMonitor(t, arm.eval, arm.noFacts, tc.policy, &prePostProvider{pre: good}), http.MethodDelete)
+			v, code = sendWave(t, buildWaveMonitor(t, arm.noFacts, tc.policy, &prePostProvider{pre: good}), http.MethodDelete)
 			check(name+"/post-fault", v, code, tc.postFault)
 
 			if !tc.degradeWarm {
 				continue
 			}
 			prov := &switchProvider{env: good}
-			m := buildWaveMonitor(t, arm.eval, arm.noFacts, tc.policy, prov)
+			m := buildWaveMonitor(t, arm.noFacts, tc.policy, prov)
 			if v, _ := sendWave(t, m, http.MethodGet); v.Outcome != OK {
 				t.Fatalf("%s: warm request outcome %s, want ok", name, v.Outcome)
 			}
@@ -245,7 +243,7 @@ func (p *flakyProvider) Snapshot(_ *RequestContext, paths []string) (ocl.MapEnv,
 // reads the path again.
 func TestFetchWaveParkedErrorUsedOnce(t *testing.T) {
 	prov := &flakyProvider{env: env(2, 10, "available", "admin"), fail: "user.id.groups"}
-	m := buildWaveMonitor(t, EvalLazy, true, FailClosed, prov)
+	m := buildWaveMonitor(t, true, FailClosed, prov)
 	f := &lazyFetcher{m: m, reqCtx: &RequestContext{Phase: PhasePre, Token: "tok"}, project: "p1"}
 	pre := newLazyEnv()
 	f.wave = []string{"project.id", "user.id.groups", "quota_sets.volume"}
@@ -325,14 +323,14 @@ func (p *barrierProvider) Snapshot(ctx *RequestContext, paths []string) (ocl.Map
 // once, and the check still reaches the same OK verdict.
 func TestFetchWaveReadsClauseConcurrently(t *testing.T) {
 	for _, arm := range waveArms {
-		name := waveArmName(arm.eval, arm.noFacts)
+		name := waveArmName(arm.noFacts)
 		prov := &barrierProvider{
 			pre:   env(2, 10, "available", "admin"),
 			post:  env(1, 10, "available", "admin"),
 			width: 5,
 			full:  make(chan struct{}),
 		}
-		m := buildWaveMonitor(t, arm.eval, arm.noFacts, FailClosed, prov)
+		m := buildWaveMonitor(t, arm.noFacts, FailClosed, prov)
 		start := time.Now()
 		if v, code := sendWave(t, m, http.MethodDelete); v.Outcome != OK || code != http.StatusNoContent {
 			t.Fatalf("%s: verdict %s (%s) code %d, want ok 204", name, v.Outcome, v.Detail, code)

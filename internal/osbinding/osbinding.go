@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloudmon/internal/contract"
@@ -52,22 +51,6 @@ type ServiceAccount struct {
 type Provider struct {
 	client  *osclient.Client
 	account ServiceAccount
-
-	// Parallel resolves the paths of one Snapshot call concurrently. Only
-	// the eager engine passes several paths per call: the demand-driven
-	// engines issue one path per call and overlap a clause's reads
-	// themselves, so for them this setting does nothing. Under eager it
-	// pays when the cloud is across a network (snapshot latency becomes
-	// the slowest read instead of the sum); in process the goroutine and
-	// lock-contention overhead outweighs the gain (see
-	// BenchmarkSnapshotParallel).
-	Parallel bool
-
-	// MaxParallel bounds the worker pool used when Parallel is set, so a
-	// contract with many paths cannot fan out an unbounded goroutine burst
-	// per request (which multiplies under concurrent proxy load). Zero
-	// selects DefaultMaxParallel.
-	MaxParallel int
 
 	// Retry configures the backoff loop every cloud read runs under. The
 	// zero value selects the defaults (3 attempts, 10ms base, 4x growth,
@@ -106,7 +89,7 @@ type ProviderStats struct {
 	// AuthRefreshes counts 401-triggered token invalidations.
 	AuthRefreshes uint64 `json:"auth_refreshes"`
 	// Gets counts state-path resolutions — one per navigation path read,
-	// each one REST GET against the cloud (before retries). The lazy
+	// each one REST GET against the cloud (before retries). The
 	// monitor's fetch economy is measured against this.
 	Gets uint64 `json:"gets"`
 	// ListReuses counts list reads (project.volumes, project.servers)
@@ -272,64 +255,19 @@ func (p *Provider) retryDo(idempotent bool, fn func(c *osclient.Client) error) e
 }
 
 // Snapshot implements monitor.StateProvider. Paths are independent REST
-// reads; with Parallel set they are resolved concurrently. Snapshot is safe
-// for concurrent calls sharing one ctx.
+// reads, resolved in order. Snapshot is safe for concurrent calls sharing
+// one ctx.
 func (p *Provider) Snapshot(ctx *monitor.RequestContext, paths []string) (ocl.MapEnv, error) {
-	if !p.Parallel || len(paths) < 2 {
-		env := make(ocl.MapEnv, len(paths))
-		for _, path := range paths {
-			v, err := p.resolve(ctx, path)
-			if err != nil {
-				return nil, fmt.Errorf("osbinding: resolve %s: %w", path, err)
-			}
-			env[path] = v
-		}
-		return env, nil
-	}
-	type result struct {
-		path string
-		val  ocl.Value
-		err  error
-	}
-	results := make([]result, len(paths))
-	workers := p.MaxParallel
-	if workers <= 0 {
-		workers = DefaultMaxParallel
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	// Bounded pool: `workers` goroutines pull path indices off a shared
-	// atomic counter until the list is drained.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				v, err := p.resolve(ctx, paths[i])
-				results[i] = result{path: paths[i], val: v, err: err}
-			}
-		}()
-	}
-	wg.Wait()
 	env := make(ocl.MapEnv, len(paths))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("osbinding: resolve %s: %w", r.path, r.err)
+	for _, path := range paths {
+		v, err := p.resolve(ctx, path)
+		if err != nil {
+			return nil, fmt.Errorf("osbinding: resolve %s: %w", path, err)
 		}
-		env[r.path] = r.val
+		env[path] = v
 	}
 	return env, nil
 }
-
-// DefaultMaxParallel is the default per-snapshot worker-pool size.
-const DefaultMaxParallel = 8
 
 // ReadKey implements monitor.ReadKeyer: it names the REST read resolve
 // issues for path. The service-account reads (project.id, the volume and
